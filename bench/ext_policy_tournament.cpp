@@ -1,6 +1,6 @@
 // Extension: policy tournament over the policy plane.
 //
-// Every scheduler policy dispatches through the PolicyEngine by name and
+// Every scheduler policy is picked by name (policy::make_sched_policy) and
 // every node policy through its plugin, so this bench doubles as the
 // plane's end-to-end exercise: 8 policy configurations (3 legacy scheduler
 // policies, power-aware EASY, eco-mode, the PI degradation-bound node
@@ -55,7 +55,7 @@ std::vector<apps::WorkloadJob> mix_queue(const std::string& archetype,
 /// policy, and optional eco-mode enrollment of every submitted job.
 struct Entrant {
   const char* label;
-  const char* sched;  ///< PolicyEngine name
+  const char* sched;  ///< scheduler policy name
   manager::NodePolicy node;
   double eco_tolerance;  ///< > 0: every job enrolls with this tolerance
   bool report_progress;  ///< progress/pi-bound need job.progress events

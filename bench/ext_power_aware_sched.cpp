@@ -32,7 +32,7 @@ struct Outcome {
   double mean_wait_s = 0.0;
 };
 
-Outcome run(flux::Scheduler::Policy sched, bool constrained,
+Outcome run(const char* sched, bool constrained,
             const std::map<std::uint64_t, double>& baseline_runtimes,
             std::map<std::uint64_t, double>* record_runtimes) {
   ScenarioConfig cfg;
@@ -86,12 +86,10 @@ int main() {
 
   // Unconstrained baseline provides per-job reference runtimes.
   std::map<std::uint64_t, double> baseline;
-  const Outcome unc =
-      run(flux::Scheduler::Policy::Fcfs, false, {}, &baseline);
+  const Outcome unc = run("fcfs", false, {}, &baseline);
 
-  const Outcome fcfs = run(flux::Scheduler::Policy::Fcfs, true, baseline, nullptr);
-  const Outcome paware =
-      run(flux::Scheduler::Policy::PowerAware, true, baseline, nullptr);
+  const Outcome fcfs = run("fcfs", true, baseline, nullptr);
+  const Outcome paware = run("power-aware", true, baseline, nullptr);
 
   util::TextTable table({"scheduler", "makespan s", "peak kW", "energy MJ",
                          "mean slowdown", "mean wait s"});

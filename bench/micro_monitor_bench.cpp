@@ -1,8 +1,7 @@
 // Microbenchmarks for the monitor data plane: the columnar (SoA) sample
 // store against the seed's row-of-structs ring, the consume-variant period
-// estimator, and — sim-driven — the two TBON traffic optimizations this
-// refactor introduced (incremental delta aggregation, batched cap
-// fan-out).
+// estimator, and — sim-driven — the TBON traffic optimization this
+// refactor introduced (incremental delta aggregation).
 //
 // Workloads:
 //   * sweep stats      — mean/peak of best-node-watts over the whole ring
@@ -17,10 +16,6 @@
 //                        shipped per repeated root window query, read off
 //                        the fluxpower_monitor_merge_bytes_total registry
 //                        counters of a live 16-node TBON stack
-//   * cap fan-out      — per-rank vs batched limit-push waves: root
-//                        fan-out and hop-weighted message count per
-//                        refresh wave on a 32-node stack, via the message
-//                        journal
 //
 // The `row` namespace replicates the seed layout (util::RingBuffer of
 // PowerSample structs) so the before/after comparison is carried inside
@@ -37,12 +32,9 @@
 #include <string>
 #include <vector>
 
-#include "apps/launcher.hpp"
 #include "dsp/period.hpp"
 #include "flux/instance.hpp"
-#include "flux/journal.hpp"
 #include "hwsim/cluster.hpp"
-#include "manager/power_manager.hpp"
 #include "monitor/client.hpp"
 #include "monitor/power_monitor.hpp"
 #include "monitor/sample_store.hpp"
@@ -330,77 +322,6 @@ BENCHMARK(BM_MergeBytesPerQuery)
     ->Arg(0)
     ->Arg(1)
     ->ArgName("delta")
-    ->Unit(benchmark::kMillisecond);
-
-// --- Cap fan-out: per-rank pushes vs batched subtree waves -----------------
-//
-// A 32-node stack with one full-cluster job and a 5 s limit refresh. Each
-// bench iteration covers one refresh wave; the journal yields the root's
-// request fan-out and the wave's hop-weighted message count. Batching
-// bounds the former by the tree fanout and makes every message cross
-// exactly one edge.
-
-void BM_CapFanOut(benchmark::State& state) {
-  const bool batched = state.range(0) != 0;
-  constexpr int kNodes = 32;
-  sim::Simulation sim;
-  hwsim::Cluster cluster =
-      hwsim::make_cluster(sim, hwsim::Platform::LassenIbmAc922, kNodes);
-  std::vector<hwsim::Node*> ptrs;
-  for (int i = 0; i < kNodes; ++i) ptrs.push_back(&cluster.node(i));
-  flux::InstanceConfig icfg;
-  icfg.tbon_fanout = 2;
-  flux::Instance instance(sim, std::move(ptrs), icfg);
-  apps::LauncherOptions lopts;
-  lopts.platform = hwsim::Platform::LassenIbmAc922;
-  instance.jobs().set_launcher(apps::make_launcher(lopts));
-  flux::MessageJournal journal;
-  instance.attach_journal(&journal);
-  manager::PowerManagerConfig cfg;
-  cfg.cluster_power_bound_w = 1200.0 * kNodes;
-  cfg.node_policy = manager::NodePolicy::DirectGpuBudget;
-  cfg.limit_refresh_s = 5.0;
-  cfg.batch_limit_pushes = batched;
-  instance.load_module_on_all<manager::PowerManagerModule>(cfg);
-  flux::JobSpec spec;
-  spec.name = "gemm";
-  spec.app = "gemm";
-  spec.nnodes = kNodes;
-  spec.attributes = util::Json::object();
-  spec.attributes["work_scale"] = 50.0;
-  instance.jobs().submit(spec);
-  sim.run_until(12.0);  // allocation wave done, refresh cadence running
-
-  const flux::Tbon& tbon = instance.tbon();
-  const std::size_t journal_before = journal.size();
-  for (auto _ : state) {
-    sim.run_until(sim.now() + 5.0);  // one refresh wave
-  }
-  std::uint64_t root_requests = 0;
-  std::uint64_t hops = 0;
-  for (std::size_t i = journal_before; i < journal.size(); ++i) {
-    const flux::Message& m = journal.entry(i).msg;
-    if (m.topic != manager::kSetNodeLimitTopic &&
-        m.topic != manager::kSetNodeLimitBatchTopic) {
-      continue;
-    }
-    hops += static_cast<std::uint64_t>(
-        std::max(1, tbon.hops(m.sender, m.dest)));
-    if (m.sender == flux::kRootRank && m.dest != flux::kRootRank &&
-        m.type == flux::Message::Type::Request) {
-      ++root_requests;
-    }
-  }
-  const double waves = static_cast<double>(state.iterations());
-  state.counters["root_fanout_per_wave"] =
-      static_cast<double>(root_requests) / waves;
-  state.counters["push_hops_per_wave"] = static_cast<double>(hops) / waves;
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CapFanOut)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("batched")
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -26,7 +26,7 @@ struct Setup {
   const char* label;
   manager::NodePolicy policy;
   bool constrained;
-  flux::Scheduler::Policy sched;
+  const char* sched;  ///< scheduler policy name
 };
 
 void run_setup(const Setup& setup, std::uint64_t seed, bool print_jobs) {
@@ -81,20 +81,19 @@ int main() {
 
   // Detailed view of the queue once, under proportional sharing.
   run_setup({"prop sharing + FCFS (detail)", manager::NodePolicy::DirectGpuBudget,
-             true, flux::Scheduler::Policy::Fcfs},
+             true, "fcfs"},
             kSeed, /*print_jobs=*/true);
   std::printf("\npolicy comparison (same queue, same seed):\n");
   run_setup({"  unconstrained, FCFS", manager::NodePolicy::None, false,
-             flux::Scheduler::Policy::Fcfs},
+             "fcfs"},
             kSeed, false);
   run_setup({"  prop sharing, FCFS", manager::NodePolicy::DirectGpuBudget, true,
-             flux::Scheduler::Policy::Fcfs},
+             "fcfs"},
             kSeed, false);
-  run_setup({"  FPP, FCFS", manager::NodePolicy::Fpp, true,
-             flux::Scheduler::Policy::Fcfs},
-            kSeed, false);
+  run_setup({"  FPP, FCFS", manager::NodePolicy::Fpp, true, "fcfs"}, kSeed,
+            false);
   run_setup({"  prop sharing, backfill", manager::NodePolicy::DirectGpuBudget,
-             true, flux::Scheduler::Policy::EasyBackfill},
+             true, "easy-backfill"},
             kSeed, false);
   std::printf(
       "\npaper finding: prop sharing and FPP leave the makespan unchanged "

@@ -5,8 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "manager/node_policies.hpp"
-
 namespace fluxpower::experiments {
 
 namespace {
@@ -92,19 +90,15 @@ Scenario::Scenario(ScenarioConfig config) : config_(config) {
   }
   if (config_.load_manager) {
     instance_->load_module_on_all<manager::PowerManagerModule>(config_.manager);
-    // Expose the power budget to the scheduler so Policy::PowerAware can
+    // Expose the power budget to the scheduler so power-aware policies can
     // admit against it (inert under FCFS/backfill).
     instance_->scheduler().set_power_budget(config_.manager.cluster_power_bound_w,
                                             config_.manager.node_peak_w);
   }
-  // Name-based policy selection through the policy plane. The node-policy
-  // names are registered here too so tools resolving names (trace_dump,
-  // benches) work even when no manager module was constructed yet.
-  manager::register_builtin_node_policies();
   if (!config_.sched_policy.empty()) {
     // The queue is empty at construction, so the policy-change kick is a
-    // no-op and the event schedule stays byte-identical to the enum path.
-    instance_->scheduler().set_policy_by_name(config_.sched_policy);
+    // no-op and schedules nothing.
+    instance_->scheduler().set_policy(config_.sched_policy);
   }
 
   // Track job lifecycle for energy accounting and completion detection.

@@ -38,11 +38,10 @@ struct ScenarioConfig {
   bool load_manager = false;
   manager::PowerManagerConfig manager;
 
-  /// Scheduler policy by registry name ("fcfs", "easy-backfill",
-  /// "power-aware", "power-aware-easy", "eco-mode", or any policy
-  /// registered with the process-wide PolicyEngine). Empty = keep the
-  /// instance default (FCFS). Applied before any job is submitted, so the
-  /// three built-in names are byte-identical to setting the legacy enum.
+  /// Scheduler policy by name ("fcfs", "easy-backfill", "power-aware",
+  /// "power-aware-easy", "eco-mode"; see policy::make_sched_policy).
+  /// Empty = keep the instance default (FCFS). Applied before any job is
+  /// submitted.
   std::string sched_policy;
 
   /// Publish job.progress events from running jobs (required by

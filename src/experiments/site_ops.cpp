@@ -8,7 +8,6 @@
 #include "apps/app_model.hpp"
 #include "apps/launcher.hpp"
 #include "flux/instance.hpp"
-#include "manager/node_policies.hpp"
 #include "manager/power_manager.hpp"
 #include "manager/site_coordinator.hpp"
 #include "sim/simulation.hpp"
@@ -106,7 +105,6 @@ SiteOpsResult run_site_ops(const SiteOpsConfig& config) {
       make_site_workload(cfg.workload, shapes);
 
   sim::Simulation sim;
-  manager::register_builtin_node_policies();
 
   std::vector<std::unique_ptr<MemberRuntime>> members;
   members.reserve(cfg.members.size());
@@ -134,7 +132,7 @@ SiteOpsResult run_site_ops(const SiteOpsConfig& config) {
     m->instance->load_module_on_all<manager::PowerManagerModule>(pm);
 
     if (!cfg.sched_policy.empty()) {
-      m->instance->scheduler().set_policy_by_name(cfg.sched_policy);
+      m->instance->scheduler().set_policy(cfg.sched_policy);
     }
     members.push_back(std::move(m));
   }

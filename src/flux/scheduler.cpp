@@ -6,7 +6,7 @@
 
 #include "flux/instance.hpp"
 #include "obs/metrics.hpp"
-#include "policy/engine.hpp"
+#include "policy/sched_policies.hpp"
 #include "sim/simulation.hpp"
 
 namespace fluxpower::flux {
@@ -15,57 +15,18 @@ namespace {
 /// Queue-wait spans an immediate start (0) through long power-blocked waits.
 constexpr std::array<double, 8> kQueueWaitBounds = {
     1.0, 5.0, 15.0, 60.0, 300.0, 900.0, 1800.0, 7200.0};
-
-const char* builtin_policy_name(Scheduler::Policy policy) noexcept {
-  switch (policy) {
-    case Scheduler::Policy::Fcfs: return "fcfs";
-    case Scheduler::Policy::EasyBackfill: return "easy-backfill";
-    case Scheduler::Policy::PowerAware: return "power-aware";
-  }
-  return "fcfs";
-}
 }  // namespace
 
-Scheduler::Scheduler(Instance& instance, Policy policy)
-    : instance_(instance), policy_(policy) {
+Scheduler::Scheduler(Instance& instance)
+    : instance_(instance), policy_obj_(policy::make_sched_policy("fcfs")) {
   busy_.assign(static_cast<std::size_t>(instance_.size()), false);
   drained_.assign(static_cast<std::size_t>(instance_.size()), false);
-  policy_obj_ =
-      policy::PolicyEngine::global().make_sched(builtin_policy_name(policy));
 }
 
 Scheduler::~Scheduler() = default;
 
-void Scheduler::set_policy(Policy policy) {
-  policy_ = policy;
-  policy_obj_ =
-      policy::PolicyEngine::global().make_sched(builtin_policy_name(policy));
-  kick_on_policy_change();
-}
-
-void Scheduler::set_policy_by_name(const std::string& name) {
-  policy_obj_ = policy::PolicyEngine::global().make_sched(name);
-  // Keep the legacy enum facade coherent for the built-ins; engine-only
-  // policies leave it untouched (policy_name() is the authoritative view).
-  if (name == "fcfs") {
-    policy_ = Policy::Fcfs;
-  } else if (name == "easy-backfill") {
-    policy_ = Policy::EasyBackfill;
-  } else if (name == "power-aware") {
-    policy_ = Policy::PowerAware;
-  }
-  kick_on_policy_change();
-}
-
-void Scheduler::install_policy(std::unique_ptr<policy::SchedulerPolicy> p) {
-  if (p == nullptr) {
-    throw std::invalid_argument("Scheduler::install_policy: null policy");
-  }
-  policy_obj_ = std::move(p);
-  kick_on_policy_change();
-}
-
-void Scheduler::kick_on_policy_change() {
+void Scheduler::set_policy(std::string_view name) {
+  policy_obj_ = policy::make_sched_policy(name);
   // A mid-run policy change must re-examine the queue: jobs inadmissible
   // under the old policy may start immediately under the new one. With an
   // empty queue this is a no-op (no event scheduled even under the

@@ -8,13 +8,11 @@
 //
 // Admission decisions are delegated to a pluggable policy::SchedulerPolicy
 // (see src/policy/policy.hpp): one admit() verdict per queued job per scan,
-// plus an optional charge against the admitted-power ledger. The legacy
-// Policy enum (Fcfs, EasyBackfill, PowerAware) survives as a convenience
-// facade over the built-in policies; set_policy_by_name() reaches every
-// policy registered with the PolicyEngine, including:
-//   * EasyBackfill — conservative node-count backfill (scheduling
+// plus an optional charge against the admitted-power ledger. set_policy()
+// picks one by name (policy::make_sched_policy); besides "fcfs":
+//   * "easy-backfill" — conservative node-count backfill (scheduling
 //     ablation);
-//   * PowerAware — hardware-overprovisioning admission control (the
+//   * "power-aware" — hardware-overprovisioning admission control (the
 //     paper's future-work direction, citing Patki et al. / Sakamoto et
 //     al.): a job is only started when the cluster power bound can
 //     accommodate its estimated peak draw on top of the already-admitted
@@ -22,13 +20,13 @@
 //     `power_estimate_w_per_node` (the node peak is assumed when absent).
 //     Trades queueing delay for running every admitted job at full power
 //     instead of throttling everyone proportionally;
-//   * power-aware-easy / eco-mode — PAPERS.md additions, engine-only.
+//   * "power-aware-easy" / "eco-mode" — PAPERS.md additions.
 #pragma once
 
 #include <deque>
 #include <map>
 #include <memory>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "flux/jobspec.hpp"
@@ -49,27 +47,19 @@ class Instance;
 
 class Scheduler {
  public:
-  enum class Policy { Fcfs, EasyBackfill, PowerAware };
-
-  explicit Scheduler(Instance& instance, Policy policy = Policy::Fcfs);
+  /// Starts with the "fcfs" policy.
+  explicit Scheduler(Instance& instance);
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
   ~Scheduler();
 
-  /// Install one of the legacy built-ins. A mid-run policy change kicks the
-  /// queue (deferred-kick aware): queued jobs admissible under the new
+  /// Install a policy by name (see policy::make_sched_policy); throws
+  /// std::invalid_argument on unknown names. A mid-run policy change kicks
+  /// the queue (deferred-kick aware): queued jobs admissible under the new
   /// policy must not wait for the next enqueue/release.
-  void set_policy(Policy policy);
-  Policy policy() const noexcept { return policy_; }
-
-  /// Install any policy registered with the PolicyEngine by name (e.g.
-  /// "power-aware-easy", "eco-mode"). Throws std::invalid_argument on
-  /// unknown names. Kicks the queue like set_policy.
-  void set_policy_by_name(const std::string& name);
-  /// Install a custom policy object (tests, out-of-tree policies).
-  void install_policy(std::unique_ptr<policy::SchedulerPolicy> p);
+  void set_policy(std::string_view name);
   const char* policy_name() const noexcept { return policy_obj_->name(); }
   const policy::SchedulerPolicy& policy_object() const noexcept {
     return *policy_obj_;
@@ -140,17 +130,12 @@ class Scheduler {
   bool start_one();
   void kick_now();
   policy::SchedView make_view() const;
-  /// Kick the queue after a policy change; a no-op while the queue is
-  /// empty so pre-run set_policy calls schedule no events (keeps the
-  /// event sequence of every existing experiment byte-identical).
-  void kick_on_policy_change();
   /// Lazily bind the per-policy decision instruments in the root broker's
   /// registry (root exists only after bootstrap; first scan is late
   /// enough, and the first-touch order is deterministic).
   void bind_instruments();
 
   Instance& instance_;
-  Policy policy_;
   std::unique_ptr<policy::SchedulerPolicy> policy_obj_;
   std::deque<JobId> queue_;
   std::vector<bool> busy_;     ///< per-rank allocation bit

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "manager/power_manager.hpp"
-#include "policy/engine.hpp"
 #include "policy/state_codec.hpp"
 #include "util/log.hpp"
 #include "variorum/variorum.hpp"
@@ -350,23 +349,6 @@ std::unique_ptr<policy::NodePolicyPlugin> make_node_policy_plugin(
       return std::make_unique<PiBoundNodePlugin>(mod);
   }
   return std::make_unique<NonePolicyPlugin>(mod);
-}
-
-void register_builtin_node_policies() {
-  policy::PolicyEngine& engine = policy::PolicyEngine::global();
-  engine.register_node("none", "no node-level enforcement",
-                       static_cast<int>(NodePolicy::None));
-  engine.register_node("ibm-default", "platform node dial (OPAL)",
-                       static_cast<int>(NodePolicy::IbmDefaultNodeCap));
-  engine.register_node("gpu-budget", "derived uniform device budget",
-                       static_cast<int>(NodePolicy::DirectGpuBudget));
-  engine.register_node("fpp", "FFT-based per-device controllers",
-                       static_cast<int>(NodePolicy::Fpp));
-  engine.register_node("progress", "progress-guarded probe-and-hold capping",
-                       static_cast<int>(NodePolicy::ProgressBased));
-  engine.register_node("pi-bound",
-                       "PI-controlled performance-degradation bound",
-                       static_cast<int>(NodePolicy::PiBound));
 }
 
 }  // namespace fluxpower::manager

@@ -47,10 +47,6 @@ void SiteCoordinator::set_policy(std::unique_ptr<SitePolicy> policy) {
   policy_ = std::move(policy);
 }
 
-void SiteCoordinator::set_policy_by_name(const std::string& name) {
-  set_policy(make_site_policy(name));
-}
-
 double SiteCoordinator::health_of(int strikes) noexcept {
   return std::pow(0.5, std::min(strikes, kMaxHealthStrikes));
 }

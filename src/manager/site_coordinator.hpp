@@ -65,9 +65,6 @@ class SiteCoordinator {
   /// Install an apportionment policy (never null). Takes effect from the
   /// next round; does not touch shares already pushed.
   void set_policy(std::unique_ptr<SitePolicy> policy);
-  /// Factory-name convenience ("demand-proportional", "tariff-aware-dr",
-  /// "fair-share"); throws std::invalid_argument on unknown names.
-  void set_policy_by_name(const std::string& name);
   const SitePolicy& policy() const noexcept { return *policy_; }
 
   /// Trigger one rebalance immediately (also runs periodically).

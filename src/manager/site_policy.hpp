@@ -31,7 +31,7 @@
 #include <string>
 #include <vector>
 
-#include "policy/engine.hpp"
+#include "policy/policy.hpp"
 
 namespace fluxpower::manager {
 

@@ -18,7 +18,7 @@
 //     the host module's telemetry (typed PowerSample windows via the FPP
 //     engine, obs gauges via the broker registry), and acts through the
 //     module's cap primitives — every watt written to hardware still flows
-//     through the existing push/batch/retry/quarantine machinery.
+//     through the existing push/retry/quarantine machinery.
 //
 // Determinism rules (DESIGN.md "Policy plane"):
 //   * Policies must be pure functions of their observed inputs: no wall
@@ -32,11 +32,18 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "flux/jobspec.hpp"
 
 namespace fluxpower::policy {
+
+/// Catalog entry for `list` surfaces (benches, docs, error messages).
+struct PolicyInfo {
+  std::string name;
+  std::string summary;
+};
 
 /// Verdict for one queued job during the scheduler's queue scan.
 enum class SchedHint {

@@ -1,10 +1,32 @@
 #include "policy/sched_policies.hpp"
 
 #include <algorithm>
-
-#include "policy/engine.hpp"
+#include <stdexcept>
+#include <string>
 
 namespace fluxpower::policy {
+
+namespace {
+
+template <typename P>
+std::unique_ptr<SchedulerPolicy> make() {
+  return std::make_unique<P>();
+}
+
+struct SchedEntry {
+  const char* name;
+  std::unique_ptr<SchedulerPolicy> (*make)();
+};
+
+constexpr SchedEntry kSchedPolicies[] = {
+    {"fcfs", make<FcfsPolicy>},
+    {"easy-backfill", make<EasyBackfillPolicy>},
+    {"power-aware", make<PowerAwarePolicy>},
+    {"power-aware-easy", make<PowerAwareEasyPolicy>},
+    {"eco-mode", make<EcoModePolicy>},
+};
+
+}  // namespace
 
 SchedHint PowerAwarePolicy::admit(const SchedView& view, const flux::Job& job,
                                   const flux::Job*) {
@@ -55,21 +77,18 @@ double EcoModePolicy::requested_node_power_w(const flux::Job& job) const {
   return estimate * (1.0 - tolerance);
 }
 
-void register_builtin_sched_policies(PolicyEngine& engine) {
-  engine.register_sched("fcfs", "strict first-come-first-served",
-                        [] { return std::make_unique<FcfsPolicy>(); });
-  engine.register_sched("easy-backfill",
-                        "conservative node-count backfill",
-                        [] { return std::make_unique<EasyBackfillPolicy>(); });
-  engine.register_sched("power-aware",
-                        "overprovisioning power admission control",
-                        [] { return std::make_unique<PowerAwarePolicy>(); });
-  engine.register_sched(
-      "power-aware-easy", "EASY backfill with power reservations",
-      [] { return std::make_unique<PowerAwareEasyPolicy>(); });
-  engine.register_sched("eco-mode",
-                        "user-assisted self-capping via eco_tolerance",
-                        [] { return std::make_unique<EcoModePolicy>(); });
+std::unique_ptr<SchedulerPolicy> make_sched_policy(std::string_view name) {
+  for (const SchedEntry& e : kSchedPolicies) {
+    if (name == e.name) return e.make();
+  }
+  std::string known;
+  for (const SchedEntry& e : kSchedPolicies) {
+    if (!known.empty()) known += ", ";
+    known += e.name;
+  }
+  throw std::invalid_argument("unknown scheduler policy \"" +
+                              std::string(name) + "\" (known: " + known +
+                              ")");
 }
 
 }  // namespace fluxpower::policy

@@ -1,8 +1,8 @@
 // sched_policies.hpp — built-in scheduler policies for the policy plane.
 //
-// The three legacy policies (fcfs, easy-backfill, power-aware) reproduce the
-// former Scheduler::Policy enum semantics byte-for-byte; the two new ones
-// come from PAPERS.md:
+// A fixed name table reached through make_sched_policy() is the one way to
+// construct them. fcfs, easy-backfill and power-aware are the original
+// scheduler modes; the two newer ones come from PAPERS.md:
 //   * power-aware-easy — EASY backfill under the cluster power budget:
 //     jobs behind a blocked head may start only when the budget covers the
 //     already-admitted jobs, the candidate AND the blocked head's estimate
@@ -15,12 +15,11 @@
 #pragma once
 
 #include <memory>
+#include <string_view>
 
 #include "policy/policy.hpp"
 
 namespace fluxpower::policy {
-
-class PolicyEngine;
 
 /// Strict FCFS: only the head of the queue may start.
 class FcfsPolicy final : public SchedulerPolicy {
@@ -85,8 +84,9 @@ class EcoModePolicy final : public SchedulerPolicy {
   double requested_node_power_w(const flux::Job& job) const override;
 };
 
-/// Register the built-in scheduler policies with `engine` (idempotent);
-/// called from the PolicyEngine constructor.
-void register_builtin_sched_policies(PolicyEngine& engine);
+/// Construct a built-in scheduler policy by name: "fcfs", "easy-backfill",
+/// "power-aware", "power-aware-easy" or "eco-mode". Throws
+/// std::invalid_argument on unknown names, listing the known ones.
+std::unique_ptr<SchedulerPolicy> make_sched_policy(std::string_view name);
 
 }  // namespace fluxpower::policy

@@ -100,7 +100,6 @@ void encode_manager(ByteWriter& w, const manager::PowerManagerConfig& m) {
   w.f64(m.push_timeout_s);
   w.f64(m.quarantine_probe_s);
   w.f64(m.limit_refresh_s);
-  w.boolean(m.batch_limit_pushes);
 
   const manager::FppConfig& fpp = m.fpp;
   w.f64(fpp.converge_th_s);
@@ -122,15 +121,13 @@ void encode_manager(ByteWriter& w, const manager::PowerManagerConfig& m) {
   w.f64(m.progress.step_w);
   w.f64(m.progress.tolerance);
 
-  // v3: PI-bound controller knobs.
   w.f64(m.pi.control_period_s);
   w.f64(m.pi.degradation_bound);
   w.f64(m.pi.kp);
   w.f64(m.pi.ki);
 }
 
-manager::PowerManagerConfig decode_manager(ByteReader& r,
-                                           std::uint32_t version) {
+manager::PowerManagerConfig decode_manager(ByteReader& r) {
   manager::PowerManagerConfig m;
   m.cluster_power_bound_w = r.f64();
   m.node_peak_w = r.f64();
@@ -154,7 +151,6 @@ manager::PowerManagerConfig decode_manager(ByteReader& r,
   m.push_timeout_s = r.f64();
   m.quarantine_probe_s = r.f64();
   m.limit_refresh_s = r.f64();
-  m.batch_limit_pushes = r.boolean();
 
   manager::FppConfig& fpp = m.fpp;
   fpp.converge_th_s = r.f64();
@@ -177,12 +173,10 @@ manager::PowerManagerConfig decode_manager(ByteReader& r,
   m.progress.control_period_s = r.f64();
   m.progress.step_w = r.f64();
   m.progress.tolerance = r.f64();
-  if (version >= 3) {
-    m.pi.control_period_s = r.f64();
-    m.pi.degradation_bound = r.f64();
-    m.pi.kp = r.f64();
-    m.pi.ki = r.f64();
-  }
+  m.pi.control_period_s = r.f64();
+  m.pi.degradation_bound = r.f64();
+  m.pi.kp = r.f64();
+  m.pi.ki = r.f64();
   return m;
 }
 
@@ -210,7 +204,7 @@ void TwinSpec::encode(ByteWriter& w) const {
   w.f64(s.record_period_s);
   w.u32(static_cast<std::uint32_t>(s.shards));
   w.u32(static_cast<std::uint32_t>(s.workers));
-  w.str(s.sched_policy);  // v3: policy-plane scheduler name ("" = FCFS)
+  w.str(s.sched_policy);  // "" = FCFS
 
   w.u32(static_cast<std::uint32_t>(jobs.size()));
   for (const experiments::JobRequest& j : jobs) {
@@ -218,14 +212,14 @@ void TwinSpec::encode(ByteWriter& w) const {
     w.u32(static_cast<std::uint32_t>(j.nnodes));
     w.f64(j.work_scale);
     w.f64(j.submit_time_s);
-    w.f64(j.eco_tolerance);  // v3
+    w.f64(j.eco_tolerance);
   }
   w.f64(max_time_s);
 }
 
 TwinSpec TwinSpec::decode(ByteReader& r) {
   const std::uint32_t version = r.u32();
-  if (version < 1 || version > kSpecVersion) {
+  if (version != kSpecVersion) {
     throw CodecError("TwinSpec: unsupported version " + std::to_string(version) +
                      " (this build reads " + std::to_string(kSpecVersion) + ")");
   }
@@ -240,7 +234,7 @@ TwinSpec TwinSpec::decode(ByteReader& r) {
   s.load_monitor = r.boolean();
   if (r.boolean()) s.monitor = decode_monitor(r);
   s.load_manager = r.boolean();
-  s.manager = decode_manager(r, version);
+  s.manager = decode_manager(r);
   s.report_progress = r.boolean();
   if (r.boolean()) s.faults = decode_faults(r);
   s.sensor_noise = r.f64();
@@ -248,11 +242,9 @@ TwinSpec TwinSpec::decode(ByteReader& r) {
   s.seed = r.u64();
   s.app_step_s = r.f64();
   s.record_period_s = r.f64();
-  if (version >= 2) {
-    s.shards = static_cast<int>(r.u32());
-    s.workers = static_cast<int>(r.u32());
-  }
-  if (version >= 3) s.sched_policy = r.str();
+  s.shards = static_cast<int>(r.u32());
+  s.workers = static_cast<int>(r.u32());
+  s.sched_policy = r.str();
 
   const std::uint32_t njobs = r.u32();
   spec.jobs.reserve(njobs);
@@ -263,7 +255,7 @@ TwinSpec TwinSpec::decode(ByteReader& r) {
     j.nnodes = static_cast<int>(r.u32());
     j.work_scale = r.f64();
     j.submit_time_s = r.f64();
-    if (version >= 3) j.eco_tolerance = r.f64();
+    j.eco_tolerance = r.f64();
     spec.jobs.push_back(j);
   }
   spec.max_time_s = r.f64();

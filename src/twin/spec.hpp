@@ -9,9 +9,9 @@
 //
 // The encoding is versioned independently of the snapshot container so a
 // spec-only change (new config field) doesn't invalidate state-section
-// decoding, and vice versa. Enums encode as u32 of their underlying value;
-// adding enum values is backward compatible, reordering is not (guarded by
-// codec_test's pinned-bytes cases).
+// decoding, and vice versa. Specs are not a compatibility surface: no
+// snapshot outlives the build that wrote it, so decode() accepts only the
+// current version. Enums encode as u32 of their underlying value.
 #pragma once
 
 #include <cstdint>
@@ -22,15 +22,9 @@
 
 namespace fluxpower::twin {
 
-/// Current TwinSpec wire version. Bump on any field addition/removal and
-/// teach decode() both shapes (or reject the old one loudly).
-/// v2 adds the sharded execution profile knobs (shards, workers) after
-/// record_period_s; v1 specs decode with shards=0 (monolithic engine).
-/// v3 adds the policy plane: PiPolicyConfig after progress in the manager
-/// block, the scheduler policy name after workers, and per-job
-/// eco_tolerance; older specs decode with the defaults (empty name = FCFS,
-/// tolerance 0 = not enrolled).
-inline constexpr std::uint32_t kSpecVersion = 3;
+/// Current TwinSpec wire version; decode() rejects every other one. Bump on
+/// any field addition or removal.
+inline constexpr std::uint32_t kSpecVersion = 4;
 
 struct TwinSpec {
   experiments::ScenarioConfig scenario;

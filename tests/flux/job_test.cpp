@@ -96,7 +96,7 @@ TEST_F(JobTest, FcfsHeadOfLineBlocks) {
 }
 
 TEST_F(JobTest, BackfillLetsSmallJobsThrough) {
-  instance_->scheduler().set_policy(Scheduler::Policy::EasyBackfill);
+  instance_->scheduler().set_policy("easy-backfill");
   instance_->jobs().submit(spec(6, 50.0));
   const JobId big = instance_->jobs().submit(spec(4, 10.0));
   const JobId tiny = instance_->jobs().submit(spec(1, 10.0));

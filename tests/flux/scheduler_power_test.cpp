@@ -34,7 +34,7 @@ class PowerAwareSchedTest : public ::testing::Test {
           return std::make_unique<TimedExecution>(
               sim_, job.spec.attributes.number_or("duration", 10.0));
         });
-    instance_->scheduler().set_policy(Scheduler::Policy::PowerAware);
+    instance_->scheduler().set_policy("power-aware");
     instance_->scheduler().set_power_budget(4000.0, 3050.0);
   }
 
@@ -118,7 +118,7 @@ TEST_F(PowerAwareSchedTest, CancelledQueuedJobReleasesNothing) {
 }
 
 TEST_F(PowerAwareSchedTest, FcfsIgnoresPowerBudget) {
-  instance_->scheduler().set_policy(Scheduler::Policy::Fcfs);
+  instance_->scheduler().set_policy("fcfs");
   submit(4, 2000.0, 50.0);
   const JobId b = submit(4, 2000.0, 50.0);
   sim_.run_until(1.0);

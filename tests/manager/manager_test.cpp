@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "apps/launcher.hpp"
 #include "flux/instance.hpp"
 #include "hwsim/cluster.hpp"
@@ -264,6 +266,62 @@ TEST_F(ManagerTest, UnloadRemovesServicesAndTasks) {
   // Events from jobs no longer crash anything.
   submit("laghos", 1);
   sim_.run_until(30.0);
+}
+
+// The broker keeps each push's response handler until the ack or the
+// timeout arrives, so unloading the root's manager mid-wave leaves handlers
+// pointing at a destroyed module. They must notice and do nothing.
+TEST_F(ManagerTest, UnloadWithLimitPushesInFlight) {
+  PowerManagerConfig cfg;
+  cfg.cluster_power_bound_w = 4 * 1200.0;
+  cfg.node_policy = NodePolicy::DirectGpuBudget;
+  build(4, cfg);
+  submit("gemm", 4, 2.0);
+  PowerManagerModule* root = module(0);
+  while (root->allocations().empty() && sim_.step()) {
+  }
+  flux::Broker& broker = instance_->broker(0);
+  const auto pushes =
+      broker.metrics().value("fluxpower_manager_limit_pushes_total");
+  ASSERT_EQ(pushes, 4.0);
+  broker.unload_module("power-manager");
+  ASSERT_EQ(broker.find_module("power-manager"), nullptr);
+
+  sim_.run_until(sim_.now() + 2.0 * cfg.push_timeout_s);
+  EXPECT_EQ(broker.metrics().value("fluxpower_manager_limit_pushes_total"),
+            pushes);
+  EXPECT_EQ(broker.metrics().value("fluxpower_manager_push_strikes_total"),
+            0.0);
+}
+
+// Same for the engine's timers: a strike re-push armed before the unload
+// fires after it and must not re-push from the destroyed module.
+TEST_F(ManagerTest, UnloadWithStrikeRetryArmed) {
+  PowerManagerConfig cfg;
+  cfg.cluster_power_bound_w = 4 * 1200.0;
+  cfg.node_policy = NodePolicy::DirectGpuBudget;
+  build(4, cfg);
+  // Rank 3 has no node-level manager, so its push fails with ENOSYS.
+  instance_->broker(3).unload_module("power-manager");
+  submit("gemm", 4, 2.0);
+  PowerManagerModule* root = module(0);
+  while (!root->push_strikes().contains(3) && sim_.step()) {
+  }
+  ASSERT_TRUE(root->push_strikes().contains(3));
+  flux::Broker& broker = instance_->broker(0);
+  const auto pushes =
+      broker.metrics().value("fluxpower_manager_limit_pushes_total");
+  broker.unload_module("power-manager");
+
+  sim_.run_until(sim_.now() + 2.0 * cfg.push_timeout_s);
+  EXPECT_EQ(broker.metrics().value("fluxpower_manager_limit_pushes_total"),
+            pushes);
+}
+
+TEST(ManagerConfig, RejectsQuarantineThresholdBelowOne) {
+  PowerManagerConfig cfg;
+  cfg.quarantine_threshold = 0;
+  EXPECT_THROW(PowerManagerModule module(cfg), std::invalid_argument);
 }
 
 }  // namespace

@@ -36,7 +36,7 @@ class DrainPowerTest : public ::testing::Test {
           return std::make_unique<TimedExecution>(
               sim_, job.spec.attributes.number_or("duration", 10.0));
         });
-    instance_->scheduler().set_policy(Scheduler::Policy::PowerAware);
+    instance_->scheduler().set_policy("power-aware");
     instance_->scheduler().set_power_budget(8000.0, 3050.0);
   }
 

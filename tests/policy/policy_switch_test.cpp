@@ -62,7 +62,7 @@ class PolicySwitchTest : public ::testing::Test {
 // set_policy because nothing kicked the scan.
 TEST_F(PolicySwitchTest, MidRunSwitchKicksQueuedJobs) {
   Scheduler& sched = instance_->scheduler();
-  sched.set_policy(Scheduler::Policy::PowerAware);
+  sched.set_policy("power-aware");
   sched.set_power_budget(4000.0, 3050.0);
   submit(2, 1500.0, 100.0);               // 3000 W admitted
   const JobId held = submit(2, 800.0);    // 1600 W: over budget, waits
@@ -72,23 +72,22 @@ TEST_F(PolicySwitchTest, MidRunSwitchKicksQueuedJobs) {
 
   // FCFS ignores power: the held job must start NOW, with no further
   // enqueue/release to rescue it.
-  sched.set_policy(Scheduler::Policy::Fcfs);
+  sched.set_policy("fcfs");
   EXPECT_EQ(instance_->jobs().job(held).state, JobState::Run);
   EXPECT_EQ(sched.queue_length(), 0u);
 }
 
 TEST_F(PolicySwitchTest, MidRunSwitchByNameKicksToo) {
   Scheduler& sched = instance_->scheduler();
-  sched.set_policy(Scheduler::Policy::PowerAware);
+  sched.set_policy("power-aware");
   sched.set_power_budget(4000.0, 3050.0);
   submit(2, 1500.0, 100.0);
   const JobId held = submit(2, 800.0);
   sim_.run_until(1.0);
   ASSERT_EQ(instance_->jobs().job(held).state, JobState::Sched);
 
-  sched.set_policy_by_name("easy-backfill");
+  sched.set_policy("easy-backfill");
   EXPECT_EQ(instance_->jobs().job(held).state, JobState::Run);
-  EXPECT_EQ(sched.policy(), Scheduler::Policy::EasyBackfill);
   EXPECT_STREQ(sched.policy_name(), "easy-backfill");
 }
 
@@ -98,14 +97,14 @@ TEST_F(PolicySwitchTest, MidRunSwitchByNameKicksToo) {
 TEST_F(PolicySwitchTest, DeferredKickProfileStillReexaminesQueue) {
   Scheduler& sched = instance_->scheduler();
   sched.set_deferred_kick(sim_);
-  sched.set_policy(Scheduler::Policy::PowerAware);
+  sched.set_policy("power-aware");
   sched.set_power_budget(4000.0, 3050.0);
   submit(2, 1500.0, 100.0);
   const JobId held = submit(2, 800.0);
   sim_.run_until(1.0);
   ASSERT_EQ(instance_->jobs().job(held).state, JobState::Sched);
 
-  sched.set_policy(Scheduler::Policy::Fcfs);
+  sched.set_policy("fcfs");
   // Deferred: not synchronous...
   EXPECT_EQ(instance_->jobs().job(held).state, JobState::Sched);
   // ...but the coalesced kick event is queued and fires at the same
@@ -118,8 +117,8 @@ TEST_F(PolicySwitchTest, DeferredKickProfileStillReexaminesQueue) {
 // pre-run configuration path every bench uses) schedules no events.
 TEST_F(PolicySwitchTest, SwitchWithEmptyQueueSchedulesNothing) {
   const std::size_t before = sim_.pending();
-  instance_->scheduler().set_policy(Scheduler::Policy::EasyBackfill);
-  instance_->scheduler().set_policy_by_name("power-aware");
+  instance_->scheduler().set_policy("easy-backfill");
+  instance_->scheduler().set_policy("power-aware");
   EXPECT_EQ(sim_.pending(), before);
 }
 
@@ -127,14 +126,14 @@ TEST_F(PolicySwitchTest, SwitchWithEmptyQueueSchedulesNothing) {
 // ledger: the PowerAware charges survive the policy object swap.
 TEST_F(PolicySwitchTest, SwitchPreservesAdmittedLedger) {
   Scheduler& sched = instance_->scheduler();
-  sched.set_policy(Scheduler::Policy::PowerAware);
+  sched.set_policy("power-aware");
   sched.set_power_budget(10000.0, 3050.0);
   const JobId a = submit(2, 1500.0, 100.0);
   sim_.run_until(1.0);
   ASSERT_EQ(instance_->jobs().job(a).state, JobState::Run);
   ASSERT_DOUBLE_EQ(sched.admitted_power_w(), 3000.0);
 
-  sched.set_policy(Scheduler::Policy::Fcfs);
+  sched.set_policy("fcfs");
   EXPECT_DOUBLE_EQ(sched.admitted_power_w(), 3000.0);
   sim_.run();
   // Release under the new policy still refunds the old charge.

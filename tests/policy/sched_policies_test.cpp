@@ -1,12 +1,9 @@
-// Tests for the PolicyEngine registry and the built-in scheduler policies'
-// decision semantics (the observe/act contracts of src/policy).
+// Tests for the scheduler policy name table and the built-in scheduler
+// policies' decision semantics (the observe/act contracts of src/policy).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
-#include "manager/node_policies.hpp"
-#include "manager/policy.hpp"
-#include "policy/engine.hpp"
 #include "policy/sched_policies.hpp"
 #include "policy/state_codec.hpp"
 
@@ -24,54 +21,29 @@ flux::Job make_job(int nnodes, double estimate_w_per_node) {
   return job;
 }
 
-TEST(PolicyEngineTest, BuiltinSchedPoliciesRegistered) {
-  PolicyEngine& engine = PolicyEngine::global();
+TEST(SchedPolicyTable, MakesEveryBuiltinByName) {
   for (const char* name :
        {"fcfs", "easy-backfill", "power-aware", "power-aware-easy",
         "eco-mode"}) {
-    auto policy = engine.make_sched(name);
+    auto policy = make_sched_policy(name);
     ASSERT_NE(policy, nullptr) << name;
     EXPECT_STREQ(policy->name(), name);
   }
 }
 
-TEST(PolicyEngineTest, UnknownNameThrowsListingKnown) {
+TEST(SchedPolicyTable, UnknownNameThrowsListingKnown) {
   try {
-    PolicyEngine::global().make_sched("no-such-policy");
+    make_sched_policy("no-such-policy");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("no-such-policy"), std::string::npos);
-    EXPECT_NE(what.find("fcfs"), std::string::npos);
+    for (const char* name :
+         {"fcfs", "easy-backfill", "power-aware", "power-aware-easy",
+          "eco-mode"}) {
+      EXPECT_NE(what.find(name), std::string::npos) << name;
+    }
   }
-}
-
-TEST(PolicyEngineTest, RegistrationIsIdempotent) {
-  PolicyEngine& engine = PolicyEngine::global();
-  const std::size_t before = engine.sched_policies().size();
-  register_builtin_sched_policies(engine);  // second call: first wins
-  EXPECT_EQ(engine.sched_policies().size(), before);
-}
-
-TEST(PolicyEngineTest, NodePolicyCodesMatchEnum) {
-  manager::register_builtin_node_policies();
-  manager::register_builtin_node_policies();  // idempotent
-  PolicyEngine& engine = PolicyEngine::global();
-  using manager::NodePolicy;
-  const std::pair<const char*, NodePolicy> expected[] = {
-      {"none", NodePolicy::None},
-      {"ibm-default", NodePolicy::IbmDefaultNodeCap},
-      {"gpu-budget", NodePolicy::DirectGpuBudget},
-      {"fpp", NodePolicy::Fpp},
-      {"progress", NodePolicy::ProgressBased},
-      {"pi-bound", NodePolicy::PiBound},
-  };
-  for (const auto& [name, value] : expected) {
-    const auto code = engine.node_code(name);
-    ASSERT_TRUE(code.has_value()) << name;
-    EXPECT_EQ(*code, static_cast<int>(value)) << name;
-  }
-  EXPECT_FALSE(engine.node_code("no-such-node-policy").has_value());
 }
 
 TEST(SchedPolicyTest, FcfsAlwaysStartsAndNeverBackfills) {

@@ -106,9 +106,21 @@ INSTANTIATE_TEST_SUITE_P(
 // Scheduler invariants on random queues.
 // ---------------------------------------------------------------------------
 
+// A scoped enum keeps the instantiation names in their established form.
+enum class SchedCase { Fcfs, EasyBackfill, PowerAware };
+
+const char* sched_policy_name(SchedCase c) {
+  switch (c) {
+    case SchedCase::Fcfs: return "fcfs";
+    case SchedCase::EasyBackfill: return "easy-backfill";
+    case SchedCase::PowerAware: return "power-aware";
+  }
+  return "fcfs";
+}
+
 class SchedulerInvariants
-    : public ::testing::TestWithParam<
-          std::tuple<flux::Scheduler::Policy, std::uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<SchedCase, std::uint64_t>> {
+};
 
 TEST_P(SchedulerInvariants, NoDoubleAllocationAndAllJobsFinish) {
   const auto [policy, seed] = GetParam();
@@ -118,8 +130,8 @@ TEST_P(SchedulerInvariants, NoDoubleAllocationAndAllJobsFinish) {
   cfg.nodes = 8;
   cfg.load_monitor = false;  // speed
   experiments::Scenario s(cfg);
-  s.instance().scheduler().set_policy(policy);
-  if (policy == flux::Scheduler::Policy::PowerAware) {
+  s.instance().scheduler().set_policy(sched_policy_name(policy));
+  if (policy == SchedCase::PowerAware) {
     s.instance().scheduler().set_power_budget(8 * 1500.0, 3050.0);
   }
 
@@ -163,9 +175,9 @@ TEST_P(SchedulerInvariants, NoDoubleAllocationAndAllJobsFinish) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SchedulerInvariants,
-    ::testing::Combine(::testing::Values(flux::Scheduler::Policy::Fcfs,
-                                         flux::Scheduler::Policy::EasyBackfill,
-                                         flux::Scheduler::Policy::PowerAware),
+    ::testing::Combine(::testing::Values(SchedCase::Fcfs,
+                                         SchedCase::EasyBackfill,
+                                         SchedCase::PowerAware),
                        ::testing::Values(11u, 22u, 33u, 44u)));
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 // rotation) must move the state digest when it changes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -138,6 +139,26 @@ TEST(TwinSpecCodec, RejectsUnknownVersionAndEnums) {
   bytes[4] = 0xFF;
   ByteReader r(bytes);
   EXPECT_THROW(TwinSpec::decode(r), CodecError);
+}
+
+// Only the current version decodes: bytes stamped with the previous version
+// are rejected at the version check, not misread field by field.
+TEST(TwinSpecCodec, RejectsPreviousVersion) {
+  ByteWriter good;
+  small_spec(false).encode(good);
+  std::vector<std::uint8_t> bytes = good.data();
+  ByteWriter stamp;
+  stamp.u32(kSpecVersion - 1);
+  std::copy(stamp.data().begin(), stamp.data().end(), bytes.begin());
+  ByteReader r(bytes);
+  try {
+    TwinSpec::decode(r);
+    FAIL() << "expected CodecError";
+  } catch (const CodecError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SnapshotCodec, RejectsBadMagicVersionTrailingAndCorruption) {

@@ -129,7 +129,7 @@ INSTANTIATE_TEST_SUITE_P(Shards, ShardedRestore, ::testing::Values(2, 4, 8),
                            return "shards" + std::to_string(info.param);
                          });
 
-// A v1 spec (no shards fields) must still decode — monolithic profile.
+// The sharded profile knobs survive a spec round trip.
 TEST(ShardedRestoreCompat, SpecV2RoundTripsShardKnobs) {
   const TwinSpec spec = make_sharded_spec(4, 2, /*chaos=*/false);
   twin::ByteWriter w;

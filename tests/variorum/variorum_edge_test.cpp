@@ -75,7 +75,7 @@ TEST(SchedulerInterplay, PowerAwareRespectsDrains) {
   cfg.load_manager = true;
   cfg.manager.cluster_power_bound_w = 4 * 2000.0;
   experiments::Scenario s(cfg);
-  s.instance().scheduler().set_policy(flux::Scheduler::Policy::PowerAware);
+  s.instance().scheduler().set_policy("power-aware");
   s.instance().scheduler().drain(0);
   s.instance().scheduler().drain(1);
 
@@ -101,7 +101,7 @@ TEST(SchedulerInterplay, GreenJobUnderPowerAwareAdmission) {
   cfg.load_manager = true;
   cfg.manager.cluster_power_bound_w = 3000.0;
   experiments::Scenario s(cfg);
-  s.instance().scheduler().set_policy(flux::Scheduler::Policy::PowerAware);
+  s.instance().scheduler().set_policy("power-aware");
 
   flux::JobSpec big;
   big.name = "gemm";

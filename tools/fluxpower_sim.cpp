@@ -6,7 +6,7 @@
 //
 //   fluxpower-sim --platform lassen --nodes 8 --policy prop --bound 9600 \
 //       --node-cap 1950 --job gemm:6:2.0 --job quicksilver:2:27.5 \
-//       [--sched fcfs|backfill|power-aware] [--seed N] \
+//       [--sched NAME] [--seed N] \
 //       [--csv PREFIX] [--json] [--timeline JOBID]
 //
 // Job syntax: app:nnodes[:work_scale[:submit_time_s]] with app one of
@@ -15,6 +15,8 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -38,7 +40,9 @@ namespace {
                "  --policy none|ibm|static|prop|fpp|progress  (default none)\n"
                "  --bound WATTS                       cluster power bound\n"
                "  --node-cap WATTS                    static/safety node cap\n"
-               "  --sched fcfs|backfill|power-aware   (default fcfs)\n"
+               "  --sched NAME                        scheduler policy: fcfs (default),\n"
+               "                                      easy-backfill, power-aware,\n"
+               "                                      power-aware-easy, eco-mode\n"
                "  --seed N                            (default 42)\n"
                "  --variability                       enable run-to-run jitter\n"
                "  --csv PREFIX                        write PREFIX_{jobs,cluster}.csv\n"
@@ -141,25 +145,21 @@ int main(int argc, char** argv) {
     usage(argv[0], "unknown policy " + policy);
   }
 
-  Scenario scenario(cfg);
-  if (sched == "fcfs") {
-    scenario.instance().scheduler().set_policy(flux::Scheduler::Policy::Fcfs);
-  } else if (sched == "backfill") {
-    scenario.instance().scheduler().set_policy(
-        flux::Scheduler::Policy::EasyBackfill);
-  } else if (sched == "power-aware") {
-    scenario.instance().scheduler().set_policy(
-        flux::Scheduler::Policy::PowerAware);
-  } else {
-    usage(argv[0], "unknown scheduler " + sched);
+  cfg.sched_policy = sched;
+
+  std::unique_ptr<Scenario> scenario;
+  try {
+    scenario = std::make_unique<Scenario>(cfg);
+  } catch (const std::invalid_argument& e) {
+    usage(argv[0], e.what());  // unknown --sched name lists the known ones
   }
 
   std::sort(jobs.begin(), jobs.end(),
             [](const JobRequest& a, const JobRequest& b) {
               return a.submit_time_s < b.submit_time_s;
             });
-  for (const JobRequest& job : jobs) scenario.submit(job);
-  const ScenarioResult result = scenario.run();
+  for (const JobRequest& job : jobs) scenario->submit(job);
+  const ScenarioResult result = scenario->run();
 
   if (print_json) {
     std::cout << experiments::to_json(result, timeline_job >= 0).dump(2)
