@@ -394,8 +394,7 @@ double estimate_peak_node_power_w(const AppProfile& profile) {
 double phase_speed(const AppProfile& profile, const AppPhase& phase,
                    const hwsim::LoadDemand& demand,
                    const hwsim::Grants& grants) {
-  auto device_ratio = [](const std::vector<double>& want,
-                         const std::vector<double>& got) {
+  auto device_ratio = [](const auto& want, const auto& got) {
     double w = 0.0, g = 0.0;
     for (std::size_t i = 0; i < want.size(); ++i) {
       w += want[i];

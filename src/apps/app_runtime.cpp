@@ -86,7 +86,7 @@ void AppRuntime::apply_phase_demand(const AppPhase& phase) {
   const double follow =
       1.0 - profile_.cpu_coupling + profile_.cpu_coupling * last_speed_;
   for (hwsim::Node* n : nodes_) {
-    const hwsim::LoadDemand floor = n->idle_demand();
+    const hwsim::LoadDemand& floor = n->idle_demand();
     hwsim::LoadDemand d;
     d.cpu_w.resize(floor.cpu_w.size());
     for (std::size_t i = 0; i < d.cpu_w.size(); ++i) {
@@ -98,14 +98,13 @@ void AppRuntime::apply_phase_demand(const AppPhase& phase) {
   }
 }
 
-double AppRuntime::min_node_speed(const AppPhase& phase,
-                                  const hwsim::LoadDemand& /*unused*/) const {
+double AppRuntime::min_node_speed(const AppPhase& phase) const {
   double speed = 1.0;
   for (hwsim::Node* n : nodes_) {
     // Reconstruct the uncoupled demand for the ratio computation: speed is
     // driven by how much of the *wanted* power each device class received.
+    const hwsim::LoadDemand& floor = n->idle_demand();
     hwsim::LoadDemand want;
-    const hwsim::LoadDemand floor = n->idle_demand();
     want.cpu_w.assign(floor.cpu_w.size(), phase.cpu_w);
     want.gpu_w.assign(floor.gpu_w.size(), phase.gpu_w);
     want.mem_w = phase.mem_w;
@@ -123,7 +122,7 @@ void AppRuntime::step() {
 
   const AppPhase& phase = phase_at(work_done_);
   apply_phase_demand(phase);
-  double speed = min_node_speed(phase, {}) * options_.speed_factor;
+  double speed = min_node_speed(phase) * options_.speed_factor;
   speed = std::clamp(speed, 1e-3, 2.0);
   last_speed_ = std::min(speed, 1.0);
 

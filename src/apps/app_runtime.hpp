@@ -59,8 +59,7 @@ class AppRuntime final : public flux::JobExecution {
   void step();
   void finish();
   void apply_phase_demand(const AppPhase& phase);
-  double min_node_speed(const AppPhase& phase,
-                        const hwsim::LoadDemand& demand) const;
+  double min_node_speed(const AppPhase& phase) const;
 
   sim::Simulation& sim_;
   std::vector<hwsim::Node*> nodes_;

@@ -37,6 +37,8 @@ struct PowerTrace {
   /// `cpu<i>_w`, `mem_w`, `gpu<i>_w` / `oam<i>_w`; extra columns ignored).
   /// Rows must carry nondecreasing timestamps; timestamps are rebased so
   /// the first row is t=0. Throws std::invalid_argument on malformed input.
+  /// CPU/GPU columns past hwsim::kMaxSockets / kMaxGpuSensors are dropped,
+  /// as a replaying node ignores values beyond its own device count.
   static PowerTrace from_csv(const std::string& csv_text);
 };
 

@@ -334,8 +334,8 @@ void Scenario::record_tick() {
     p.t_s = t;
     const hwsim::Grants& g = node->grants();
     p.node_w = g.total();
-    p.gpu_w = g.gpu_w;
-    p.cpu_w = g.cpu_w;
+    p.gpu_w.assign(g.gpu_w.begin(), g.gpu_w.end());
+    p.cpu_w.assign(g.cpu_w.begin(), g.cpu_w.end());
     p.mem_w = g.mem_w;
     for (int i = 0; i < node->gpu_count(); ++i) {
       p.gpu_cap_w.push_back(node->gpu_power_cap(i).value_or(0.0));
@@ -361,8 +361,8 @@ void Scenario::record_cell_tick(std::size_t cell) {
     p.t_s = t;
     const hwsim::Grants& g = node->grants();
     p.node_w = g.total();
-    p.gpu_w = g.gpu_w;
-    p.cpu_w = g.cpu_w;
+    p.gpu_w.assign(g.gpu_w.begin(), g.gpu_w.end());
+    p.cpu_w.assign(g.cpu_w.begin(), g.cpu_w.end());
     p.mem_w = g.mem_w;
     for (int i = 0; i < node->gpu_count(); ++i) {
       p.gpu_cap_w.push_back(node->gpu_power_cap(i).value_or(0.0));

@@ -7,15 +7,9 @@ namespace fluxpower::hwsim {
 ArmGraceNode::ArmGraceNode(sim::Simulation& sim, std::string hostname,
                            ArmGraceConfig config)
     : Node(sim, std::move(hostname)), config_(config) {
-  socket_caps_.assign(static_cast<std::size_t>(config_.sockets), std::nullopt);
+  init_devices(config_.sockets, config_.cpu_idle_w, 0, 0.0,
+               config_.mem_idle_w);
   idle();
-}
-
-LoadDemand ArmGraceNode::idle_demand() const {
-  LoadDemand d;
-  d.cpu_w.assign(static_cast<std::size_t>(config_.sockets), config_.cpu_idle_w);
-  d.mem_w = config_.mem_idle_w;
-  return d;
 }
 
 CapResult ArmGraceNode::do_set_socket_power_cap(int socket, double watts) {

@@ -31,7 +31,6 @@ class ArmGraceNode final : public Node {
   int gpu_count() const override { return 0; }
   const char* vendor_name() const override { return "arm_grace"; }
 
-  LoadDemand idle_demand() const override;
   PowerSample read_sensors() override;
 
   CapResult do_set_socket_power_cap(int socket, double watts) override;

@@ -7,17 +7,9 @@ namespace fluxpower::hwsim {
 CrayEx235aNode::CrayEx235aNode(sim::Simulation& sim, std::string hostname,
                                CrayEx235aConfig config)
     : Node(sim, std::move(hostname)), config_(config) {
-  gpu_caps_.assign(static_cast<std::size_t>(config_.gcds), std::nullopt);
-  socket_caps_.assign(static_cast<std::size_t>(config_.sockets), std::nullopt);
+  init_devices(config_.sockets, config_.cpu_idle_w, config_.gcds,
+               config_.gcd_idle_w, config_.mem_idle_w);
   idle();
-}
-
-LoadDemand CrayEx235aNode::idle_demand() const {
-  LoadDemand d;
-  d.cpu_w.assign(static_cast<std::size_t>(config_.sockets), config_.cpu_idle_w);
-  d.gpu_w.assign(static_cast<std::size_t>(config_.gcds), config_.gcd_idle_w);
-  d.mem_w = config_.mem_idle_w;
-  return d;
 }
 
 CapResult CrayEx235aNode::do_set_gpu_power_cap(int gpu, double watts) {

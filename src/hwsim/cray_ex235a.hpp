@@ -45,7 +45,6 @@ class CrayEx235aNode final : public Node {
   int oam_count() const { return config_.gcds / 2; }
   const char* vendor_name() const override { return "amd_trento_mi250x"; }
 
-  LoadDemand idle_demand() const override;
   PowerSample read_sensors() override;
 
   CapResult do_set_gpu_power_cap(int gpu, double watts) override;

@@ -9,19 +9,11 @@ namespace fluxpower::hwsim {
 IbmAc922Node::IbmAc922Node(sim::Simulation& sim, std::string hostname,
                            IbmAc922Config config)
     : Node(sim, std::move(hostname)), config_(config) {
-  gpu_caps_.assign(static_cast<std::size_t>(config_.gpus), std::nullopt);
-  socket_caps_.assign(static_cast<std::size_t>(config_.sockets), std::nullopt);
+  init_devices(config_.sockets, config_.cpu_idle_w, config_.gpus,
+               config_.gpu_idle_w, config_.mem_idle_w);
   wedged_.assign(static_cast<std::size_t>(config_.gpus), false);
   gpu_cap_epochs_.assign(static_cast<std::size_t>(config_.gpus), 0);
   idle();
-}
-
-LoadDemand IbmAc922Node::idle_demand() const {
-  LoadDemand d;
-  d.cpu_w.assign(static_cast<std::size_t>(config_.sockets), config_.cpu_idle_w);
-  d.gpu_w.assign(static_cast<std::size_t>(config_.gpus), config_.gpu_idle_w);
-  d.mem_w = config_.mem_idle_w;
-  return d;
 }
 
 double IbmAc922Node::derived_gpu_cap(double node_cap_w) const {
@@ -187,7 +179,7 @@ Grants IbmAc922Node::compute_grants(const LoadDemand& demand) const {
   // GPUs further. The hard guarantee only holds down to 1000 W with GPU
   // activity; below the aggregate idle floor nothing shrinks further.
   const double cap = *node_cap_;
-  auto shrink = [&](std::vector<double>& grants, double floor_each) {
+  auto shrink = [&](auto& grants, double floor_each) {
     double excess = g.total() - cap;
     if (excess <= 0.0) return;
     double reducible = 0.0;

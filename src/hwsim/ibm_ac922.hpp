@@ -66,7 +66,6 @@ class IbmAc922Node final : public Node {
   int gpu_count() const override { return config_.gpus; }
   const char* vendor_name() const override { return "ibm_power9"; }
 
-  LoadDemand idle_demand() const override;
   PowerSample read_sensors() override;
 
   CapResult do_set_node_power_cap(double watts) override;

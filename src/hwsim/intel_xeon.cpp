@@ -7,17 +7,9 @@ namespace fluxpower::hwsim {
 IntelXeonNode::IntelXeonNode(sim::Simulation& sim, std::string hostname,
                              IntelXeonConfig config)
     : Node(sim, std::move(hostname)), config_(config) {
-  gpu_caps_.assign(static_cast<std::size_t>(config_.gpus), std::nullopt);
-  socket_caps_.assign(static_cast<std::size_t>(config_.sockets), std::nullopt);
+  init_devices(config_.sockets, config_.cpu_idle_w, config_.gpus,
+               config_.gpu_idle_w, config_.mem_idle_w);
   idle();
-}
-
-LoadDemand IntelXeonNode::idle_demand() const {
-  LoadDemand d;
-  d.cpu_w.assign(static_cast<std::size_t>(config_.sockets), config_.cpu_idle_w);
-  d.gpu_w.assign(static_cast<std::size_t>(config_.gpus), config_.gpu_idle_w);
-  d.mem_w = config_.mem_idle_w;
-  return d;
 }
 
 CapResult IntelXeonNode::do_set_socket_power_cap(int socket, double watts) {

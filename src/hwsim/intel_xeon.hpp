@@ -37,7 +37,6 @@ class IntelXeonNode final : public Node {
   int gpu_count() const override { return config_.gpus; }
   const char* vendor_name() const override { return "intel_xeon"; }
 
-  LoadDemand idle_demand() const override;
   PowerSample read_sensors() override;
 
   CapResult do_set_socket_power_cap(int socket, double watts) override;

@@ -11,16 +11,19 @@
 // rendered to Variorum JSON at the system's edges. That is why it is a flat
 // trivially-copyable struct with fixed-capacity arrays instead of a bag of
 // strings/vectors/optionals — one sample costs `sizeof(PowerSample)` bytes
-// and zero heap allocations, wherever it travels.
+// and zero heap allocations, wherever it travels. `LoadDemand` and `Grants`
+// hold the same inline watts arrays, so the demand → grant → progress path
+// that every app step and cap write runs never touches the heap either.
 #pragma once
 
 #include <cstddef>
+#include <initializer_list>
 #include <optional>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
-#include <vector>
 
 namespace fluxpower::hwsim {
 
@@ -58,46 +61,37 @@ struct CapResult {
 
 const char* cap_status_name(CapStatus status) noexcept;
 
-/// Absolute instantaneous power demand of the workload on one node.
-/// Values are watts *including* each device's idle floor; an idle node is
-/// represented by demands equal to the idle floors (see Node::idle()).
-struct LoadDemand {
-  std::vector<double> cpu_w;  ///< per socket
-  std::vector<double> gpu_w;  ///< per GPU (per GCD on AMD)
-  double mem_w = 0.0;
-  bool operator==(const LoadDemand&) const = default;
-};
-
-/// Power actually granted to each domain after applying the active caps.
-struct Grants {
-  std::vector<double> cpu_w;
-  std::vector<double> gpu_w;
-  double mem_w = 0.0;
-  double base_w = 0.0;  ///< uncore/fans/board: constant, never capped
-
-  double gpu_total() const;
-  double cpu_total() const;
-  double total() const;
-};
-
 /// Sensor-count ceilings across every supported platform. AC922 has 2
 /// sockets + 4 GPUs, EX235a 1 socket + 4 OAM sensors, Grace 1 socket, and
 /// Xeon 2 sockets + a configurable PCIe accelerator set. The headroom makes
 /// these safe for hypothetical denser nodes without growing the sample.
+/// They also bound demands and grants, which are per GCD on EX235a: its 8
+/// GCDs fill kMaxGpuSensors, and vendor constructors reject more devices.
 inline constexpr std::size_t kMaxSockets = 4;
 inline constexpr std::size_t kMaxGpuSensors = 8;
 inline constexpr std::size_t kMaxHostnameLen = 31;
 
-/// Fixed-capacity inline vector of doubles — the per-domain telemetry array.
-/// Deliberately a small subset of std::vector's interface so the vendor
-/// sampling code and every consumer read identically against either type.
-/// push_back beyond capacity drops the value: a sensor sweep can never
-/// overrun the sample, it can only under-report (and no shipped platform
-/// comes close to the ceiling).
+/// Fixed-capacity inline vector of doubles — the per-domain watts array of
+/// demands, grants and telemetry. It mirrors the slice of the standard
+/// vector interface the stack uses, so vendor code reads the same against
+/// any of the three. push_back beyond capacity drops the value: a sensor
+/// sweep can never overrun the sample, it can only under-report. Brace
+/// lists, resize and assign throw std::length_error beyond capacity
+/// instead; vendor constructors reject device counts above the ceilings,
+/// so the simulator itself never gets there.
 template <std::size_t Capacity>
 struct FixedWattsVec {
   double data[Capacity] = {};
   std::size_t count = 0;
+
+  FixedWattsVec() = default;
+  /// `v = {110, 110}` sets both values and the size. Without this
+  /// constructor the struct would be an aggregate and the same braces would
+  /// fill `data` while leaving the vector empty.
+  FixedWattsVec(std::initializer_list<double> ws) {
+    if (ws.size() > Capacity) over_capacity(ws.size());
+    for (double w : ws) data[count++] = w;
+  }
 
   static constexpr std::size_t capacity() noexcept { return Capacity; }
   std::size_t size() const noexcept { return count; }
@@ -106,6 +100,18 @@ struct FixedWattsVec {
   void reserve(std::size_t) noexcept {}  // layout is fixed; parity with vector
   void push_back(double w) noexcept {
     if (count < Capacity) data[count++] = w;
+  }
+  /// Grow (filling with `w`) or shrink to `n` values.
+  void resize(std::size_t n, double w = 0.0) {
+    if (n > Capacity) over_capacity(n);
+    for (std::size_t i = count; i < n; ++i) data[i] = w;
+    count = n;
+  }
+  /// Replace the contents with `n` copies of `w`.
+  void assign(std::size_t n, double w) {
+    if (n > Capacity) over_capacity(n);
+    for (std::size_t i = 0; i < n; ++i) data[i] = w;
+    count = n;
   }
   double& operator[](std::size_t i) noexcept { return data[i]; }
   const double& operator[](std::size_t i) const noexcept { return data[i]; }
@@ -120,6 +126,35 @@ struct FixedWattsVec {
     }
     return true;
   }
+
+ private:
+  [[noreturn]] static void over_capacity(std::size_t n) {
+    throw std::length_error("FixedWattsVec: " + std::to_string(n) +
+                            " values exceed capacity " +
+                            std::to_string(Capacity));
+  }
+};
+
+/// Absolute instantaneous power demand of the workload on one node.
+/// Values are watts *including* each device's idle floor; an idle node is
+/// represented by demands equal to the idle floors (see Node::idle()).
+struct LoadDemand {
+  FixedWattsVec<kMaxSockets> cpu_w;     ///< per socket
+  FixedWattsVec<kMaxGpuSensors> gpu_w;  ///< per GPU (per GCD on AMD)
+  double mem_w = 0.0;
+  bool operator==(const LoadDemand&) const = default;
+};
+
+/// Power actually granted to each domain after applying the active caps.
+struct Grants {
+  FixedWattsVec<kMaxSockets> cpu_w;
+  FixedWattsVec<kMaxGpuSensors> gpu_w;
+  double mem_w = 0.0;
+  double base_w = 0.0;  ///< uncore/fans/board: constant, never capped
+
+  double gpu_total() const;
+  double cpu_total() const;
+  double total() const;
 };
 
 /// Optional watts reading without std::optional (which is not guaranteed

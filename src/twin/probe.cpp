@@ -82,16 +82,12 @@ void encode_hw(ByteWriter& w, experiments::Scenario& sc) {
     hwsim::Node& node = cluster.node(i);
     w.str(node.hostname());
     const hwsim::LoadDemand& d = node.demand();
-    w.u32(static_cast<std::uint32_t>(d.cpu_w.size()));
-    for (double x : d.cpu_w) w.f64(x);
-    w.u32(static_cast<std::uint32_t>(d.gpu_w.size()));
-    for (double x : d.gpu_w) w.f64(x);
+    put_watts_vec(w, d.cpu_w);
+    put_watts_vec(w, d.gpu_w);
     w.f64(d.mem_w);
     const hwsim::Grants& g = node.grants();
-    w.u32(static_cast<std::uint32_t>(g.cpu_w.size()));
-    for (double x : g.cpu_w) w.f64(x);
-    w.u32(static_cast<std::uint32_t>(g.gpu_w.size()));
-    for (double x : g.gpu_w) w.f64(x);
+    put_watts_vec(w, g.cpu_w);
+    put_watts_vec(w, g.gpu_w);
     w.f64(g.mem_w);
     w.f64(g.base_w);
     w.f64(node.energy_joules());

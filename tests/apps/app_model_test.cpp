@@ -175,8 +175,8 @@ TEST(PhaseSpeed, FullPowerIsFullSpeed) {
   const auto prof = make_profile(AppKind::Gemm, Platform::LassenIbmAc922, 6);
   const AppPhase& compute = prof.phases[1];
   hwsim::LoadDemand demand;
-  demand.gpu_w = std::vector<double>(4, compute.gpu_w);
-  demand.cpu_w = std::vector<double>(2, compute.cpu_w);
+  demand.gpu_w.assign(4, compute.gpu_w);
+  demand.cpu_w.assign(2, compute.cpu_w);
   hwsim::Grants grants;
   grants.gpu_w = demand.gpu_w;
   grants.cpu_w = demand.cpu_w;
@@ -187,10 +187,10 @@ TEST(PhaseSpeed, GpuCapSlowsComputePhase) {
   const auto prof = make_profile(AppKind::Gemm, Platform::LassenIbmAc922, 6);
   const AppPhase& compute = prof.phases[1];
   hwsim::LoadDemand demand;
-  demand.gpu_w = std::vector<double>(4, compute.gpu_w);
-  demand.cpu_w = std::vector<double>(2, compute.cpu_w);
+  demand.gpu_w.assign(4, compute.gpu_w);
+  demand.cpu_w.assign(2, compute.cpu_w);
   hwsim::Grants grants;
-  grants.gpu_w = std::vector<double>(4, 100.0);  // IBM-default 1200 W cap
+  grants.gpu_w.assign(4, 100.0);  // IBM-default 1200 W cap
   grants.cpu_w = demand.cpu_w;
   const double speed = phase_speed(prof, compute, demand, grants);
   // Table IV implies ~0.48x on the dominant phase (548 s -> 1145 s).
@@ -202,10 +202,10 @@ TEST(PhaseSpeed, CpuOnlyPhaseIgnoresGpuCap) {
   const auto prof = make_profile(AppKind::NQueens, Platform::LassenIbmAc922, 2);
   const AppPhase& solve = prof.phases[0];
   hwsim::LoadDemand demand;
-  demand.gpu_w = std::vector<double>(4, solve.gpu_w);
-  demand.cpu_w = std::vector<double>(2, solve.cpu_w);
+  demand.gpu_w.assign(4, solve.gpu_w);
+  demand.cpu_w.assign(2, solve.cpu_w);
   hwsim::Grants grants;
-  grants.gpu_w = std::vector<double>(4, 0.0);  // fully starved GPUs
+  grants.gpu_w.assign(4, 0.0);  // fully starved GPUs
   grants.cpu_w = demand.cpu_w;
   EXPECT_NEAR(phase_speed(prof, solve, demand, grants), 1.0, 0.06);
 }
@@ -214,12 +214,12 @@ TEST(PhaseSpeed, MonotoneInGrantedPower) {
   const auto prof = make_profile(AppKind::Gemm, Platform::LassenIbmAc922, 6);
   const AppPhase& compute = prof.phases[1];
   hwsim::LoadDemand demand;
-  demand.gpu_w = std::vector<double>(4, compute.gpu_w);
-  demand.cpu_w = std::vector<double>(2, compute.cpu_w);
+  demand.gpu_w.assign(4, compute.gpu_w);
+  demand.cpu_w.assign(2, compute.cpu_w);
   double prev = 0.0;
   for (double cap = 50.0; cap <= 300.0; cap += 25.0) {
     hwsim::Grants grants;
-    grants.gpu_w = std::vector<double>(4, std::min(cap, compute.gpu_w));
+    grants.gpu_w.assign(4, std::min(cap, compute.gpu_w));
     grants.cpu_w = demand.cpu_w;
     const double s = phase_speed(prof, compute, demand, grants);
     EXPECT_GE(s, prev - 1e-12);

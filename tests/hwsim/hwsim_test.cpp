@@ -1,6 +1,7 @@
 // Tests for hwsim: vendor node models and their capping semantics.
 #include <gtest/gtest.h>
 
+#include "hwsim/arm_grace.hpp"
 #include "hwsim/cluster.hpp"
 #include "hwsim/cray_ex235a.hpp"
 #include "hwsim/energy_meter.hpp"
@@ -362,7 +363,7 @@ TEST(CrayNodeEnabled, PostGaFirmwareAllowsCapping) {
   EXPECT_TRUE(node.set_gpu_power_cap(0, 200.0).ok());
   LoadDemand d;
   d.cpu_w = {150};
-  d.gpu_w = std::vector<double>(8, 250.0);
+  d.gpu_w.assign(8, 250.0);
   d.mem_w = 40;
   node.set_demand(d);
   EXPECT_NEAR(node.grants().gpu_w[0], 200.0, 0.01);
@@ -469,6 +470,67 @@ TEST(Cluster, PlatformNames) {
   EXPECT_STREQ(platform_name(Platform::LassenIbmAc922), "lassen");
   EXPECT_STREQ(platform_name(Platform::TiogaCrayEx235a), "tioga");
   EXPECT_STREQ(platform_name(Platform::GenericIntelXeon), "intel");
+}
+
+// ---------------------------------------------------------------------------
+// FixedWattsVec and device-count limits
+// ---------------------------------------------------------------------------
+
+TEST(FixedWattsVec, BraceAssignmentSetsSize) {
+  PowerSample s;
+  s.cpu_w = {1.0, 2.0};
+  EXPECT_EQ(s.cpu_w.size(), 2u);
+  EXPECT_DOUBLE_EQ(s.cpu_w[1], 2.0);
+  LoadDemand d;
+  d.gpu_w = {280, 280, 280, 280};
+  EXPECT_EQ(d.gpu_w.size(), 4u);
+  d.gpu_w = {};
+  EXPECT_TRUE(d.gpu_w.empty());
+}
+
+TEST(FixedWattsVec, OverCapacityThrowsExceptOnPushBack) {
+  PowerSample s;
+  EXPECT_THROW((s.cpu_w = {1, 2, 3, 4, 5}), std::length_error);
+  EXPECT_THROW(s.gpu_w.assign(kMaxGpuSensors + 1, 1.0), std::length_error);
+  EXPECT_THROW(s.gpu_w.resize(kMaxGpuSensors + 1), std::length_error);
+  for (std::size_t i = 0; i <= kMaxSockets; ++i) s.cpu_w.push_back(1.0);
+  EXPECT_EQ(s.cpu_w.size(), kMaxSockets);  // a sweep only under-reports
+}
+
+TEST(FixedWattsVec, ResizeKeepsPrefixAndFillsTail) {
+  FixedWattsVec<kMaxGpuSensors> v = {5.0, 6.0};
+  v.resize(4, 9.0);
+  EXPECT_EQ(v, (FixedWattsVec<kMaxGpuSensors>{5.0, 6.0, 9.0, 9.0}));
+  v.resize(1);
+  EXPECT_EQ(v, (FixedWattsVec<kMaxGpuSensors>{5.0}));
+  v.assign(3, 2.5);
+  EXPECT_EQ(v, (FixedWattsVec<kMaxGpuSensors>{2.5, 2.5, 2.5}));
+}
+
+TEST(DeviceCountGuard, VendorsRejectMoreDevicesThanTheInlineCapacity) {
+  sim::Simulation sim;
+  IntelXeonConfig xeon;
+  xeon.gpus = 9;
+  EXPECT_THROW(IntelXeonNode(sim, "x", xeon), std::invalid_argument);
+  xeon.gpus = 0;
+  xeon.sockets = 5;
+  EXPECT_THROW(IntelXeonNode(sim, "x", xeon), std::invalid_argument);
+  IbmAc922Config ibm;
+  ibm.gpus = 9;
+  EXPECT_THROW(IbmAc922Node(sim, "l", ibm), std::invalid_argument);
+  CrayEx235aConfig cray;
+  cray.gcds = 10;
+  EXPECT_THROW(CrayEx235aNode(sim, "t", cray), std::invalid_argument);
+  ArmGraceConfig grace;
+  grace.sockets = 5;
+  EXPECT_THROW(ArmGraceNode(sim, "g", grace), std::invalid_argument);
+
+  xeon.sockets = 4;
+  xeon.gpus = 8;  // exactly at capacity
+  IntelXeonNode full(sim, "x", xeon);
+  EXPECT_EQ(full.idle_demand().cpu_w.size(), 4u);
+  EXPECT_EQ(full.idle_demand().gpu_w.size(), 8u);
+  EXPECT_EQ(full.sample().gpu_w.size(), 8u);
 }
 
 }  // namespace
