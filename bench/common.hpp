@@ -11,46 +11,34 @@
 #include <cstdlib>
 #include <string>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/table.hpp"
 
 namespace fluxpower::bench {
 
-/// Optional observability dump, gated entirely on the environment:
-///   FLUXPOWER_METRICS_OUT=<path>  — write the process registry's Prometheus
-///                                   text exposition at exit.
-///   FLUXPOWER_TRACE_OUT=<path>    — enable the process trace sink and write
-///                                   Chrome trace-event JSON at exit.
-/// With neither variable set this is a no-op: nothing is enabled, nothing
-/// is written, and bench stdout stays byte-identical. Output goes to files
-/// only — never stdout — so enabling it cannot perturb the readouts either.
+/// Optional trace dump, gated entirely on the environment:
+///   FLUXPOWER_TRACE_OUT=<path>  — enable the process trace sink and write
+///                                 Chrome trace-event JSON at exit.
+/// Unset, this is a no-op: nothing is enabled, nothing is written, and bench
+/// stdout stays byte-identical. Output goes to a file only — never stdout —
+/// so enabling it cannot perturb the readouts either. For metrics, run
+/// `tools/trace_dump --metrics <path>`: the per-broker registries a bench
+/// builds are gone by the time it exits.
 inline void obs_init_from_env() {
   static bool initialised = false;
   if (initialised) return;
   initialised = true;
-  const char* metrics_out = std::getenv("FLUXPOWER_METRICS_OUT");
   const char* trace_out = std::getenv("FLUXPOWER_TRACE_OUT");
-  if (metrics_out == nullptr && trace_out == nullptr) return;
-  if (trace_out != nullptr) obs::process_trace().set_enabled(true);
-  // Leak-free static storage for the atexit hook's paths.
-  static std::string metrics_path, trace_path;
-  if (metrics_out != nullptr) metrics_path = metrics_out;
-  if (trace_out != nullptr) trace_path = trace_out;
+  if (trace_out == nullptr) return;
+  obs::process_trace().set_enabled(true);
+  // Leak-free static storage for the atexit hook's path.
+  static std::string trace_path;
+  trace_path = trace_out;
   std::atexit([] {
-    if (!metrics_path.empty()) {
-      if (std::FILE* f = std::fopen(metrics_path.c_str(), "w")) {
-        const std::string text = obs::process_registry().expose_text();
-        std::fwrite(text.data(), 1, text.size(), f);
-        std::fclose(f);
-      }
-    }
-    if (!trace_path.empty()) {
-      if (std::FILE* f = std::fopen(trace_path.c_str(), "w")) {
-        const std::string json = obs::process_trace().to_chrome_json().dump();
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
-      }
+    if (std::FILE* f = std::fopen(trace_path.c_str(), "w")) {
+      const std::string json = obs::process_trace().to_chrome_json().dump();
+      std::fwrite(json.data(), 1, json.size(), f);
+      std::fclose(f);
     }
   });
 }

@@ -170,24 +170,30 @@ void PowerManagerModule::load(flux::Broker& broker) {
     fft_task_ = std::make_unique<sim::PeriodicTask>(
         broker.sim(), config_.fpp.fft_update_s, [this] {
           time_since_fpp_control_s_ += config_.fpp.fft_update_s;
-          for (auto& c : fpp_) c->update_period();
+          hwsim::Node* n = nullptr;
           if (time_since_fpp_control_s_ + 1e-9 >= config_.fpp.powercap_time_s) {
             time_since_fpp_control_s_ = 0.0;
-            hwsim::Node* n = broker_->node();
-            if (n != nullptr) {
-              const double budget = derive_gpu_budget_w();
-              const std::size_t active =
-                  fpp_.empty() ? 0
-                               : fpp_control_round_++ % fpp_.size();
-              for (std::size_t i = 0; i < fpp_.size(); ++i) {
-                if (config_.fpp.stagger_probes && i != active) continue;
-                const double cap = fpp_[i]->control(budget);
-                if (manages_gpus()) {
-                  variorum::cap_gpu_power_limit(*n, static_cast<int>(i), cap);
-                } else {
-                  n->set_socket_power_cap(static_cast<int>(i), cap);
-                }
-              }
+            n = broker_->node();
+          }
+          if (n == nullptr) {
+            for (auto& c : fpp_) c->update_period();
+            return true;
+          }
+          // control() re-estimates the period from the same buffer, so only
+          // the controllers it skips this tick run update_period().
+          const double budget = derive_gpu_budget_w();
+          const std::size_t active =
+              fpp_.empty() ? 0 : fpp_control_round_++ % fpp_.size();
+          for (std::size_t i = 0; i < fpp_.size(); ++i) {
+            if (config_.fpp.stagger_probes && i != active) {
+              fpp_[i]->update_period();
+              continue;
+            }
+            const double cap = fpp_[i]->control(budget);
+            if (manages_gpus()) {
+              variorum::cap_gpu_power_limit(*n, static_cast<int>(i), cap);
+            } else {
+              n->set_socket_power_cap(static_cast<int>(i), cap);
             }
           }
           return true;

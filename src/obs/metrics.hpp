@@ -1,4 +1,4 @@
-// metrics.hpp — process-wide metrics registry (observability plane).
+// metrics.hpp — metrics registries (observability plane).
 //
 // The paper's production story depends on operators *seeing* job power
 // behaviour: per-job telemetry, cap actions, degradation under faults. This
@@ -19,6 +19,10 @@
 //   * Mergeable: to_json()/merge_json() let per-broker registries be summed
 //     hop by hop over the TBON (the `power.metrics` RPC), with the invariant
 //     that the aggregate equals the per-node registry sums exactly.
+//   * Shared schema: every broker registers the same instruments, so each
+//     distinct (name, kind, help, bounds) is interned once per process in a
+//     locked schema table that is never freed. A registry holds only its
+//     registration order and its values, one heap slot per instrument.
 //
 // Naming convention: fluxpower_<module>_<name>_<unit>, e.g.
 // fluxpower_monitor_samples_total, fluxpower_broker_rpc_latency_seconds.
@@ -26,13 +30,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "util/json.hpp"
 
@@ -64,14 +65,17 @@ class Gauge {
 };
 
 /// Fixed-bucket histogram: at most kMaxBuckets finite upper bounds plus an
-/// implicit +Inf bucket. observe() is a short linear scan over an inline
-/// array — no allocation, no resize, suitable for per-message hot paths.
+/// implicit +Inf bucket. observe() is a short linear scan over the bounds
+/// into inline counts — no allocation, no resize, suitable for per-message
+/// hot paths.
 class Histogram {
  public:
   static constexpr std::size_t kMaxBuckets = 16;
 
   Histogram() = default;
-  /// Bounds must be strictly ascending; at most kMaxBuckets of them.
+  /// Bounds must be strictly ascending; at most kMaxBuckets of them. They
+  /// are read in place, so they must outlive the histogram (a registry's
+  /// histograms read their interned schema's copy).
   explicit Histogram(std::span<const double> bounds);
 
   /// Count `v` in the first bucket with v <= bound (or +Inf).
@@ -93,19 +97,22 @@ class Histogram {
 
  private:
   friend class MetricsRegistry;
-  double bounds_[kMaxBuckets] = {};
-  std::uint64_t counts_[kMaxBuckets + 1] = {};
+  const double* bounds_ = nullptr;
   std::size_t nbounds_ = 0;
+  std::uint64_t counts_[kMaxBuckets + 1] = {};
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
 };
 
 /// A registry of named metrics. One per broker (per-node scope) plus one
 /// process-wide instance (engine/bench scope). Registration is get-or-create
-/// by name; registering an existing name with a different kind throws.
+/// by name; registering an existing name with a different kind throws. A
+/// registry's first registration of a name fixes its help and bounds; other
+/// registries may register the same name with other help, bounds or kind.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
+  ~MetricsRegistry();
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
@@ -114,7 +121,7 @@ class MetricsRegistry {
   Histogram& histogram(std::string_view name, std::string_view help,
                        std::span<const double> bounds);
 
-  std::size_t size() const noexcept { return metrics_.size(); }
+  std::size_t size() const noexcept { return size_; }
 
   /// Scalar value of a counter or gauge (nullopt if absent or a histogram).
   std::optional<double> value(std::string_view name) const;
@@ -137,24 +144,27 @@ class MetricsRegistry {
   void merge_json(const util::Json& metrics_array);
 
  private:
-  enum class Kind { Counter, Gauge, Histogram };
-  struct Metric {
-    std::string name;
-    std::string help;
-    Kind kind = Kind::Counter;
-    Counter counter;
-    Gauge gauge;
-    Histogram histogram;
-  };
+  /// One instrument: its interned schema, the next instrument in
+  /// registration order, then its value (Typed<Counter|Gauge|Histogram>).
+  /// Each slot is its own heap block, so handles never move.
+  struct Slot;
+  template <class T>
+  struct Typed;
 
-  Metric& get_or_create(std::string_view name, std::string_view help,
-                        Kind kind);
+  template <class T>
+  T& get_or_create(std::string_view name, std::string_view help,
+                   std::span<const double> bounds);
+  Slot* find(std::uint32_t name_id) const noexcept;
 
-  /// unique_ptr elements so Counter*/Gauge* handles stay valid as the
-  /// vector grows; vector order is registration (exposition) order.
-  std::vector<std::unique_ptr<Metric>> metrics_;
-  std::map<std::string, std::size_t, std::less<>> index_;
+  Slot* head_ = nullptr;
+  Slot* tail_ = nullptr;
+  std::size_t size_ = 0;
 };
+
+/// Distinct (name, kind, help, bounds) schemas interned so far in this
+/// process. Lookups never intern; only a registration of a schema no
+/// registry has registered before grows the table.
+std::size_t interned_schema_count();
 
 /// The process-wide registry: scope for anything that is not per-broker —
 /// the (shared) discrete-event engine, bench-runner bookkeeping.
