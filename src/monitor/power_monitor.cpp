@@ -746,13 +746,16 @@ void PowerMonitorModule::handle_set_config(const Message& req) {
   // changing the period re-arms the control loop.
   const double period =
       req.payload.number_or("sample_period_s", config_.sample_period_s);
-  const auto capacity = static_cast<std::size_t>(req.payload.int_or(
-      "buffer_capacity", static_cast<std::int64_t>(config_.buffer_capacity)));
-  if (period <= 0.0 || capacity == 0) {
+  // Range-check before the cast: a negative capacity would wrap to a huge
+  // std::size_t and pass a zero test.
+  const std::int64_t requested = req.payload.int_or(
+      "buffer_capacity", static_cast<std::int64_t>(config_.buffer_capacity));
+  if (period <= 0.0 || requested < 1) {
     broker_->respond_error(req, flux::kEInval,
                            "period and capacity must be positive");
     return;
   }
+  const auto capacity = static_cast<std::size_t>(requested);
   config_.stream_samples =
       req.payload.bool_or("stream_samples", config_.stream_samples);
   if (capacity != config_.buffer_capacity) {

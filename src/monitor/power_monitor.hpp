@@ -13,7 +13,7 @@
 //     is reported as partial.
 //
 // The buffer is a columnar (structure-of-arrays) ring: per-domain watt
-// columns, a timestamp column and validity bitmaps (see sample_store.hpp),
+// columns, a timestamp column and presence flags (see sample_store.hpp),
 // so window lookups are binary searches and stats/percentile sweeps run
 // unit-stride. Samples materialize back to `hwsim::PowerSample` at the
 // accessor boundary, and the TBON subtree merge ships typed batches by

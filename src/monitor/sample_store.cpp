@@ -1,5 +1,6 @@
 #include "monitor/sample_store.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -23,61 +24,79 @@ std::uint32_t ColumnarSampleStore::intern_hostname(
   return static_cast<std::uint32_t>(host_table_.size() - 1);
 }
 
-void ColumnarSampleStore::assign_slot(std::size_t p,
-                                      const hwsim::PowerSample& s) {
-  timestamp_[p] = s.timestamp_s;
-  best_w_[p] = s.best_node_w();
-  node_w_[p] = s.node_w.watts;
-  node_estimate_w_[p] = s.node_estimate_w.watts;
-  mem_w_[p] = s.mem_w.watts;
-  for (std::size_t c = 0; c < hwsim::kMaxSockets; ++c) {
-    cpu_w_[c][p] = c < s.cpu_w.size() ? s.cpu_w[c] : 0.0;
+void ColumnarSampleStore::relayout(std::size_t slot_cap,
+                                   std::size_t cpu_width,
+                                   std::size_t gpu_width) {
+  const std::size_t columns = kScalarColumns + cpu_width + gpu_width;
+  auto values = std::make_unique_for_overwrite<double[]>(columns * slot_cap);
+  // Only the in-use prefix of each column moves. Scalar and socket columns
+  // keep their index; GPU columns shift past any added socket columns. A
+  // column the widening adds is written before it is read, since every
+  // slot it covers has a count below it.
+  const auto carry = [&](std::size_t from, std::size_t to) {
+    if (len_ > 0) {
+      std::memcpy(values.get() + to * slot_cap, column(from),
+                  len_ * sizeof(double));
+    }
+  };
+  for (std::size_t c = 0; c < kScalarColumns + cpu_width_; ++c) carry(c, c);
+  for (std::size_t g = 0; g < gpu_width_; ++g) {
+    carry(gpu_column(g), kScalarColumns + cpu_width + g);
   }
-  for (std::size_t g = 0; g < hwsim::kMaxGpuSensors; ++g) {
-    gpu_w_[g][p] = g < s.gpu_w.size() ? s.gpu_w[g] : 0.0;
+  if (slot_cap != slot_cap_) {
+    auto meta = std::make_unique_for_overwrite<SlotMeta[]>(slot_cap);
+    std::copy_n(meta_.get(), len_, meta.get());
+    meta_ = std::move(meta);
   }
-  cpu_count_[p] = static_cast<std::uint8_t>(s.cpu_w.size());
-  gpu_count_[p] = static_cast<std::uint8_t>(s.gpu_w.size());
-  host_idx_[p] = intern_hostname(s.hostname);
-  node_present_.set(p, s.node_w.has_value());
-  estimate_present_.set(p, s.node_estimate_w.has_value());
-  mem_present_.set(p, s.mem_w.has_value());
-  gpu_is_oam_.set(p, s.gpu_is_oam);
-  sensor_fault_.set(p, s.sensor_fault);
+  values_ = std::move(values);
+  slot_cap_ = slot_cap;
+  cpu_width_ = cpu_width;
+  gpu_width_ = gpu_width;
 }
 
-void ColumnarSampleStore::append_slot(const hwsim::PowerSample& s) {
-  const std::size_t p = timestamp_.size();
-  timestamp_.push_back(0.0);
-  best_w_.push_back(0.0);
-  node_w_.push_back(0.0);
-  node_estimate_w_.push_back(0.0);
-  mem_w_.push_back(0.0);
-  for (auto& col : cpu_w_) col.push_back(0.0);
-  for (auto& col : gpu_w_) col.push_back(0.0);
-  cpu_count_.push_back(0);
-  gpu_count_.push_back(0);
-  host_idx_.push_back(0);
-  node_present_.resize_for(p + 1);
-  estimate_present_.resize_for(p + 1);
-  mem_present_.resize_for(p + 1);
-  gpu_is_oam_.resize_for(p + 1);
-  sensor_fault_.resize_for(p + 1);
-  assign_slot(p, s);
+void ColumnarSampleStore::assign_slot(std::size_t p,
+                                      const hwsim::PowerSample& s) {
+  column(kTimestamp)[p] = s.timestamp_s;
+  column(kBestW)[p] = s.best_node_w();
+  column(kNodeW)[p] = s.node_w.watts;
+  column(kEstimateW)[p] = s.node_estimate_w.watts;
+  column(kMemW)[p] = s.mem_w.watts;
+  for (std::size_t c = 0; c < s.cpu_w.size(); ++c) {
+    column(cpu_column(c))[p] = s.cpu_w[c];
+  }
+  for (std::size_t g = 0; g < s.gpu_w.size(); ++g) {
+    column(gpu_column(g))[p] = s.gpu_w[g];
+  }
+  SlotMeta& m = meta_[p];
+  m.host_idx = intern_hostname(s.hostname);
+  m.cpu_count = static_cast<std::uint8_t>(s.cpu_w.size());
+  m.gpu_count = static_cast<std::uint8_t>(s.gpu_w.size());
+  m.flags = static_cast<std::uint8_t>(
+      (s.node_w.has_value() ? kNodePresent : 0) |
+      (s.node_estimate_w.has_value() ? kEstimatePresent : 0) |
+      (s.mem_w.has_value() ? kMemPresent : 0) |
+      (s.gpu_is_oam ? kGpuIsOam : 0) | (s.sensor_fault ? kSensorFault : 0));
 }
 
 void ColumnarSampleStore::push(const hwsim::PowerSample& s) {
+  // A slot past the in-use prefix is appended; the ring wraps only once
+  // the prefix reaches capacity, so the blocks never hold a gap.
+  const std::size_t p = size_ == capacity_ ? head_ : phys(size_);
+  const bool append = p == len_;
+  const std::size_t slot_cap =
+      append && len_ == slot_cap_
+          ? std::min(capacity_, std::max<std::size_t>(1, 2 * slot_cap_))
+          : slot_cap_;
+  if (slot_cap != slot_cap_ || s.cpu_w.size() > cpu_width_ ||
+      s.gpu_w.size() > gpu_width_) {
+    relayout(slot_cap, std::max(cpu_width_, s.cpu_w.size()),
+             std::max(gpu_width_, s.gpu_w.size()));
+  }
+  assign_slot(p, s);
+  if (append) ++len_;
   if (size_ == capacity_) {
-    // Overwrite the oldest in place; the ring is necessarily fully grown.
-    assign_slot(head_, s);
     head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
   } else {
-    const std::size_t p = phys(size_);
-    if (p == phys_len()) {
-      append_slot(s);
-    } else {
-      assign_slot(p, s);
-    }
     ++size_;
   }
   ++total_pushed_;
@@ -86,31 +105,32 @@ void ColumnarSampleStore::push(const hwsim::PowerSample& s) {
 hwsim::PowerSample ColumnarSampleStore::get(std::size_t i) const {
   if (i >= size_) throw std::out_of_range("ColumnarSampleStore index");
   const std::size_t p = phys(i);
+  const SlotMeta& m = meta_[p];
   hwsim::PowerSample s;
-  s.timestamp_s = timestamp_[p];
-  s.hostname = host_table_[host_idx_[p]];
-  if (node_present_.get(p)) s.node_w = node_w_[p];
-  if (estimate_present_.get(p)) s.node_estimate_w = node_estimate_w_[p];
-  for (std::size_t c = 0; c < cpu_count_[p]; ++c) {
-    s.cpu_w.push_back(cpu_w_[c][p]);
+  s.timestamp_s = column(kTimestamp)[p];
+  s.hostname = host_table_[m.host_idx];
+  if (m.flags & kNodePresent) s.node_w = column(kNodeW)[p];
+  if (m.flags & kEstimatePresent) s.node_estimate_w = column(kEstimateW)[p];
+  for (std::size_t c = 0; c < m.cpu_count; ++c) {
+    s.cpu_w.push_back(column(cpu_column(c))[p]);
   }
-  if (mem_present_.get(p)) s.mem_w = mem_w_[p];
-  for (std::size_t g = 0; g < gpu_count_[p]; ++g) {
-    s.gpu_w.push_back(gpu_w_[g][p]);
+  if (m.flags & kMemPresent) s.mem_w = column(kMemW)[p];
+  for (std::size_t g = 0; g < m.gpu_count; ++g) {
+    s.gpu_w.push_back(column(gpu_column(g))[p]);
   }
-  s.gpu_is_oam = gpu_is_oam_.get(p);
-  s.sensor_fault = sensor_fault_.get(p);
+  s.gpu_is_oam = (m.flags & kGpuIsOam) != 0;
+  s.sensor_fault = (m.flags & kSensorFault) != 0;
   return s;
 }
 
 double ColumnarSampleStore::timestamp_at(std::size_t i) const {
   if (i >= size_) throw std::out_of_range("ColumnarSampleStore index");
-  return timestamp_[phys(i)];
+  return column(kTimestamp)[phys(i)];
 }
 
 double ColumnarSampleStore::best_w_at(std::size_t i) const {
   if (i >= size_) throw std::out_of_range("ColumnarSampleStore index");
-  return best_w_[phys(i)];
+  return column(kBestW)[phys(i)];
 }
 
 std::pair<std::size_t, std::size_t> ColumnarSampleStore::window_range(
@@ -118,10 +138,11 @@ std::pair<std::size_t, std::size_t> ColumnarSampleStore::window_range(
   // Timestamps are monotone non-decreasing in logical order, so the window
   // is a contiguous logical range found by two binary searches — O(log n)
   // against the old layout's full linear scan.
+  const double* ts = column(kTimestamp);
   std::size_t a = 0, b = size_;
   while (a < b) {
     const std::size_t mid = a + (b - a) / 2;
-    if (timestamp_[phys(mid)] < start_s) {
+    if (ts[phys(mid)] < start_s) {
       a = mid + 1;
     } else {
       b = mid;
@@ -131,7 +152,7 @@ std::pair<std::size_t, std::size_t> ColumnarSampleStore::window_range(
   b = size_;
   while (a < b) {
     const std::size_t mid = a + (b - a) / 2;
-    if (timestamp_[phys(mid)] <= end_s) {
+    if (ts[phys(mid)] <= end_s) {
       a = mid + 1;
     } else {
       b = mid;
@@ -145,11 +166,12 @@ ColumnarSampleStore::Segments ColumnarSampleStore::best_w_segments(
   if (hi > size_ || lo > hi) throw std::out_of_range("segment range");
   Segments seg;
   if (lo == hi) return seg;
+  const double* col = column(kBestW);
   const std::size_t p0 = phys(lo);
   const std::size_t n = hi - lo;
   const std::size_t first_len = std::min(n, capacity_ - p0);
-  seg.first = {best_w_.data() + p0, first_len};
-  seg.second = {best_w_.data(), n - first_len};
+  seg.first = {col + p0, first_len};
+  seg.second = {col, n - first_len};
   return seg;
 }
 
@@ -158,11 +180,12 @@ ColumnarSampleStore::Segments ColumnarSampleStore::timestamp_segments(
   if (hi > size_ || lo > hi) throw std::out_of_range("segment range");
   Segments seg;
   if (lo == hi) return seg;
+  const double* col = column(kTimestamp);
   const std::size_t p0 = phys(lo);
   const std::size_t n = hi - lo;
   const std::size_t first_len = std::min(n, capacity_ - p0);
-  seg.first = {timestamp_.data() + p0, first_len};
-  seg.second = {timestamp_.data(), n - first_len};
+  seg.first = {col + p0, first_len};
+  seg.second = {col, n - first_len};
   return seg;
 }
 
@@ -183,10 +206,11 @@ void ColumnarSampleStore::copy_best_w(std::size_t lo, std::size_t hi,
 void ColumnarSampleStore::prune_front(double min_ts_s) {
   // The dropped prefix is contiguous in logical order; find its length by
   // binary search and advance the head past it.
+  const double* ts = column(kTimestamp);
   std::size_t a = 0, b = size_;
   while (a < b) {
     const std::size_t mid = a + (b - a) / 2;
-    if (timestamp_[phys(mid)] < min_ts_s) {
+    if (ts[phys(mid)] < min_ts_s) {
       a = mid + 1;
     } else {
       b = mid;
@@ -199,65 +223,47 @@ void ColumnarSampleStore::prune_front(double min_ts_s) {
 }
 
 void ColumnarSampleStore::clear() noexcept {
+  // The blocks stay allocated for the refill, as a cleared vector keeps
+  // its capacity.
   head_ = 0;
   size_ = 0;
-  timestamp_.clear();
-  best_w_.clear();
-  node_w_.clear();
-  node_estimate_w_.clear();
-  mem_w_.clear();
-  for (auto& col : cpu_w_) col.clear();
-  for (auto& col : gpu_w_) col.clear();
-  cpu_count_.clear();
-  gpu_count_.clear();
-  host_idx_.clear();
+  len_ = 0;
   host_table_.clear();
-  node_present_.clear();
-  estimate_present_.clear();
-  mem_present_.clear();
-  gpu_is_oam_.clear();
-  sensor_fault_.clear();
   // total_pushed_ deliberately retained (see header).
 }
 
 bool ColumnarSampleStore::check_integrity() const noexcept {
-  const std::size_t n = phys_len();
-  if (n > capacity_ || size_ > capacity_ || size_ > n) return false;
-  if (best_w_.size() != n || node_w_.size() != n ||
-      node_estimate_w_.size() != n || mem_w_.size() != n ||
-      cpu_count_.size() != n || gpu_count_.size() != n ||
-      host_idx_.size() != n) {
+  if (slot_cap_ > capacity_ || len_ > slot_cap_ || size_ > len_) return false;
+  if ((values_ == nullptr) != (slot_cap_ == 0) ||
+      (meta_ == nullptr) != (slot_cap_ == 0)) {
     return false;
   }
-  for (const auto& col : cpu_w_) {
-    if (col.size() != n) return false;
-  }
-  for (const auto& col : gpu_w_) {
-    if (col.size() != n) return false;
-  }
-  const std::size_t words = (n + 63) / 64;
-  if (node_present_.words.size() != words ||
-      estimate_present_.words.size() != words ||
-      mem_present_.words.size() != words ||
-      gpu_is_oam_.words.size() != words ||
-      sensor_fault_.words.size() != words) {
+  if (cpu_width_ > hwsim::kMaxSockets || gpu_width_ > hwsim::kMaxGpuSensors) {
     return false;
   }
-  if (size_ > 0 && head_ >= n) return false;
+  // Until the in-use prefix reaches capacity the ring cannot wrap, so the
+  // retained run must end inside the prefix.
+  if (size_ > 0 && head_ >= len_) return false;
+  if (len_ < capacity_ && head_ + size_ > len_) return false;
+  constexpr std::uint8_t kAllFlags =
+      kNodePresent | kEstimatePresent | kMemPresent | kGpuIsOam | kSensorFault;
   for (std::size_t i = 0; i < size_; ++i) {
     const std::size_t p = phys(i);
-    if (cpu_count_[p] > hwsim::kMaxSockets) return false;
-    if (gpu_count_[p] > hwsim::kMaxGpuSensors) return false;
-    if (host_idx_[p] >= host_table_.size()) return false;
-    // The derived best_w column must agree with the validity bitmaps: the
+    const SlotMeta& m = meta_[p];
+    if (m.cpu_count > cpu_width_ || m.gpu_count > gpu_width_) return false;
+    if (m.host_idx >= host_table_.size()) return false;
+    if ((m.flags & ~kAllFlags) != 0) return false;
+    // The derived best_w column must agree with the presence flags: the
     // direct sensor when present, else the estimate, else zero.
-    const double expect = node_present_.get(p)
-                              ? node_w_[p]
-                              : (estimate_present_.get(p)
-                                     ? node_estimate_w_[p]
+    const double expect = (m.flags & kNodePresent)
+                              ? column(kNodeW)[p]
+                              : ((m.flags & kEstimatePresent)
+                                     ? column(kEstimateW)[p]
                                      : 0.0);
-    if (best_w_[p] != expect) return false;
-    if (i > 0 && timestamp_[phys(i - 1)] > timestamp_[p]) return false;
+    if (column(kBestW)[p] != expect) return false;
+    if (i > 0 && column(kTimestamp)[phys(i - 1)] > column(kTimestamp)[p]) {
+      return false;
+    }
   }
   return true;
 }

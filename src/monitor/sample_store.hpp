@@ -13,11 +13,18 @@
 // chaos suite's ledger identity depends on — behind accessors that
 // materialize `PowerSample` values on demand.
 //
-// Presence of the optional domains (node sensor, node estimate, memory)
-// and the per-sample flags (gpu_is_oam, sensor_fault) live in packed
-// validity bitmaps, one bit per physical slot; the per-sample cpu/gpu
-// sensor counts in byte columns; hostnames in a tiny interned table (a
-// node-agent's hostname never changes, so the table holds one entry).
+// Storage is two heap blocks per store. The numeric block holds one
+// column per scalar (timestamp, best node watts, node, estimate, memory)
+// plus one per socket and per GPU, only as many device columns as the
+// widest sample seen so far needs (a Lassen sample fills 2 sockets and 4
+// GPUs of the 4 + 8 a PowerSample can carry); a wider sample re-lays the
+// block out. The metadata block holds one 8-byte record per slot: the
+// cpu/gpu sensor counts, an index into a tiny interned hostname table (a
+// node-agent's hostname never changes, so the table holds one entry) and
+// the presence and fault flags as bits of one byte. Both blocks grow as a
+// whole by doubling, up to capacity, so an idle replica costs nothing and
+// neither block outgrows twice the most slots the store has held: per
+// slot, 8 bytes per column plus 8 of metadata.
 //
 // The same class backs the TBON delta-aggregation replicas: a broker
 // mirrors each descendant's buffer by appending delta batches and pruning
@@ -28,6 +35,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -104,65 +112,74 @@ class ColumnarSampleStore {
     total_pushed_ += pushed_before;
   }
 
-  /// Internal consistency check for the regression suite: every column and
-  /// bitmap must describe exactly the retained slots (sizes in lockstep,
-  /// counts within sensor ceilings, hostname indices valid). Returns false
-  /// on any desynchronization.
+  /// Internal consistency check for the regression suite: the blocks must
+  /// describe exactly the retained slots (lengths within the allocation,
+  /// counts within the block's device widths, hostname indices valid, known
+  /// flag bits only, best watts derived from the flags). Returns false on
+  /// any desynchronization.
   bool check_integrity() const noexcept;
 
  private:
+  /// Scalar columns, in numeric-block order; device columns follow.
+  enum Column : std::size_t {
+    kTimestamp,
+    kBestW,  ///< best_node_w(), precomputed at push
+    kNodeW,
+    kEstimateW,
+    kMemW,
+    kScalarColumns
+  };
+  /// Bits of SlotMeta::flags.
+  enum Flag : std::uint8_t {
+    kNodePresent = 1,
+    kEstimatePresent = 2,
+    kMemPresent = 4,
+    kGpuIsOam = 8,
+    kSensorFault = 16,
+  };
+  struct SlotMeta {
+    std::uint32_t host_idx;
+    std::uint8_t cpu_count;
+    std::uint8_t gpu_count;
+    std::uint8_t flags;
+  };
+
   std::size_t phys(std::size_t i) const noexcept {
     std::size_t p = head_ + i;
     if (p >= capacity_) p -= capacity_;
     return p;
   }
-  std::size_t phys_len() const noexcept { return timestamp_.size(); }
+  const double* column(std::size_t c) const noexcept {
+    return values_.get() + c * slot_cap_;
+  }
+  double* column(std::size_t c) noexcept {
+    return values_.get() + c * slot_cap_;
+  }
+  std::size_t cpu_column(std::size_t c) const noexcept {
+    return kScalarColumns + c;
+  }
+  std::size_t gpu_column(std::size_t g) const noexcept {
+    return kScalarColumns + cpu_width_ + g;
+  }
+  /// Reallocate both blocks for `slot_cap` slots per column and the given
+  /// device widths, carrying the in-use slots over.
+  void relayout(std::size_t slot_cap, std::size_t cpu_width,
+                std::size_t gpu_width);
   void assign_slot(std::size_t p, const hwsim::PowerSample& s);
-  void append_slot(const hwsim::PowerSample& s);
   std::uint32_t intern_hostname(const hwsim::FixedHostname& h);
-
-  // Packed one-bit-per-slot flags.
-  struct Bitmap {
-    std::vector<std::uint64_t> words;
-    void resize_for(std::size_t slots) { words.resize((slots + 63) / 64, 0); }
-    bool get(std::size_t i) const noexcept {
-      return (words[i >> 6] >> (i & 63)) & 1u;
-    }
-    void set(std::size_t i, bool v) noexcept {
-      const std::uint64_t mask = std::uint64_t{1} << (i & 63);
-      if (v) {
-        words[i >> 6] |= mask;
-      } else {
-        words[i >> 6] &= ~mask;
-      }
-    }
-    void clear() noexcept { words.clear(); }
-  };
 
   std::size_t capacity_;
   std::size_t head_ = 0;  ///< physical index of logical element 0
   std::size_t size_ = 0;  ///< retained samples
+  std::size_t len_ = 0;   ///< physical slots in use; wraps start at capacity_
   std::uint64_t total_pushed_ = 0;
 
-  // Scalar columns, indexed by physical slot. Grown on first use up to
-  // capacity_ so an idle replica costs nothing.
-  std::vector<double> timestamp_;
-  std::vector<double> best_w_;  ///< best_node_w(), precomputed at push
-  std::vector<double> node_w_;
-  std::vector<double> node_estimate_w_;
-  std::vector<double> mem_w_;
-  std::vector<double> cpu_w_[hwsim::kMaxSockets];
-  std::vector<double> gpu_w_[hwsim::kMaxGpuSensors];
-  std::vector<std::uint8_t> cpu_count_;
-  std::vector<std::uint8_t> gpu_count_;
-  std::vector<std::uint32_t> host_idx_;
+  std::size_t slot_cap_ = 0;  ///< slots allocated per column
+  std::size_t cpu_width_ = 0;  ///< socket columns in the numeric block
+  std::size_t gpu_width_ = 0;  ///< GPU columns in the numeric block
+  std::unique_ptr<double[]> values_;  ///< column-major, slot_cap_ per column
+  std::unique_ptr<SlotMeta[]> meta_;  ///< slot_cap_ records
   std::vector<hwsim::FixedHostname> host_table_;
-
-  Bitmap node_present_;
-  Bitmap estimate_present_;
-  Bitmap mem_present_;
-  Bitmap gpu_is_oam_;
-  Bitmap sensor_fault_;
 };
 
 }  // namespace fluxpower::monitor

@@ -79,7 +79,12 @@ void Simulation::push_entry(const Entry& e) {
     push_overflow(e);
     return;
   }
-  buckets_[static_cast<std::size_t>(b)].push_back(e);
+  std::vector<Entry>& bucket = buckets_[static_cast<std::size_t>(b)];
+  if (bucket.capacity() == 0 && !free_runs_.empty()) {
+    bucket.swap(free_runs_.back());
+    free_runs_.pop_back();
+  }
+  bucket.push_back(e);
   occupied_[static_cast<std::size_t>(b) / 64] |= std::uint64_t{1} << (b % 64);
 }
 
@@ -98,12 +103,17 @@ int Simulation::next_occupied_bucket(int from) const noexcept {
 
 void Simulation::drain_bucket(int b) {
   // Only reached once the previous ready run is fully consumed, so the
-  // bucket's storage and the ready run's can trade places: no copy, and
-  // both vectors keep their capacity — steady-state re-arms never allocate.
+  // bucket's storage and the ready run's can trade places: no copy. The
+  // spent run's storage then leaves the bucket for the free list, where
+  // the next bucket to receive an entry takes it (push_entry). Left in the
+  // bucket, it would sit unread until the wheel wraps 1024 s later while
+  // the next sweep grew a fresh vector; recycled, periodic re-arms stop
+  // allocating after their first few periods.
   std::vector<Entry>& bucket = buckets_[static_cast<std::size_t>(b)];
   ready_.clear();
   ready_pos_ = 0;
   ready_.swap(bucket);
+  if (bucket.capacity() > 0) free_runs_.push_back(std::exchange(bucket, {}));
   // Tombstones sort fine by their recorded (time, seq) and the consume
   // loop skips them anyway, so no compaction pass (which would cost one
   // slot probe per entry). Synchronized periodic sweeps re-arm in firing

@@ -334,12 +334,15 @@ class Simulation {
   // that once the ready run drains, its whole backing vector can be stolen
   // and sorted into the next run — a broadcast fan-out (N deliveries at
   // near-identical times) then costs one linear scan instead of N log N
-  // heap pops.
+  // heap pops. A drained bucket hands its storage to free_runs_, and a
+  // bucket takes storage from there when it receives its first entry, so
+  // the list never holds more vectors than buckets were occupied at once.
   std::vector<Entry> ready_;
   std::size_t ready_pos_ = 0;
   std::vector<Entry> overflow_;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> far_;
   std::vector<std::vector<Entry>> buckets_;
+  std::vector<std::vector<Entry>> free_runs_;
   std::array<std::uint64_t, kNumBuckets / 64> occupied_{};
   Time wheel_base_ = 0.0;
   int cursor_ = 0;

@@ -1,7 +1,8 @@
 // Regression tests for the columnar (SoA) sample store: it must reproduce
 // util::RingBuffer<PowerSample> semantics exactly — element-for-element,
-// across wraparound, clears and lifetime inheritance — and its columns must
-// never desynchronize from the validity bitmaps (check_integrity).
+// across wraparound, clears, prunes, late widening and lifetime inheritance —
+// and its columns must never desynchronize from the per-slot metadata
+// (check_integrity).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,7 +18,7 @@ namespace {
 using hwsim::PowerSample;
 
 // Deterministic sample generator: varied domain presence, counts and
-// flags so every column and bitmap is exercised.
+// flags so every column and flag bit is exercised.
 struct SampleGen {
   std::uint64_t state;
   double t = 0.0;
@@ -30,20 +31,34 @@ struct SampleGen {
   }
   double watts() { return 100.0 + static_cast<double>(next() % 10000) / 13.0; }
 
-  PowerSample sample() {
+  /// At most `max_cpu` sockets and `max_gpu` GPUs.
+  PowerSample sample(std::size_t max_cpu = hwsim::kMaxSockets,
+                     std::size_t max_gpu = hwsim::kMaxGpuSensors) {
     PowerSample s;
     t += 0.5 + static_cast<double>(next() % 4);  // strictly increasing
     s.timestamp_s = t;
     s.hostname = (next() % 2) == 0 ? "lassen7" : "tioga42";
     if (next() % 3 != 0) s.node_w = watts();
     if (next() % 2 == 0) s.node_estimate_w = watts();
-    const std::size_t ncpu = next() % (hwsim::kMaxSockets + 1);
+    const std::size_t ncpu = next() % (max_cpu + 1);
     for (std::size_t c = 0; c < ncpu; ++c) s.cpu_w.push_back(watts());
     if (next() % 4 != 0) s.mem_w = watts();
-    const std::size_t ngpu = next() % (hwsim::kMaxGpuSensors + 1);
+    const std::size_t ngpu = next() % (max_gpu + 1);
     for (std::size_t g = 0; g < ngpu; ++g) s.gpu_w.push_back(watts());
     s.gpu_is_oam = (next() % 2) == 0;
     s.sensor_fault = (next() % 16) == 0;
+    return s;
+  }
+
+  /// Every socket and GPU a PowerSample can carry.
+  PowerSample widest() {
+    PowerSample s = sample(0, 0);
+    for (std::size_t c = 0; c < hwsim::kMaxSockets; ++c) {
+      s.cpu_w.push_back(watts());
+    }
+    for (std::size_t g = 0; g < hwsim::kMaxGpuSensors; ++g) {
+      s.gpu_w.push_back(watts());
+    }
     return s;
   }
 };
@@ -61,6 +76,46 @@ void expect_same_sample(const PowerSample& a, const PowerSample& b) {
   EXPECT_EQ(a.best_node_w(), b.best_node_w());
 }
 
+/// Push `s` into both, then require the same ledger and an intact store.
+void push_both(ColumnarSampleStore& store,
+               util::RingBuffer<PowerSample>& reference,
+               const PowerSample& s) {
+  store.push(s);
+  reference.push(s);
+  ASSERT_EQ(store.size(), reference.size());
+  ASSERT_EQ(store.total_pushed(), reference.total_pushed());
+  ASSERT_EQ(store.evicted(), reference.evicted());
+  ASSERT_TRUE(store.check_integrity())
+      << "capacity " << store.capacity() << " push " << store.total_pushed();
+}
+
+void expect_same_contents(const ColumnarSampleStore& store,
+                          const util::RingBuffer<PowerSample>& reference) {
+  ASSERT_EQ(store.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    expect_same_sample(store.get(i), reference[i]);
+    EXPECT_EQ(store.timestamp_at(i), reference[i].timestamp_s);
+    EXPECT_EQ(store.best_w_at(i), reference[i].best_node_w());
+  }
+  expect_same_sample(store.front(), reference.front());
+  expect_same_sample(store.back(), reference.back());
+}
+
+/// RingBuffer has no prune_front: rebuild it from the samples at or after
+/// `min_ts_s`, crediting the dropped ones to its lifetime as evicted.
+util::RingBuffer<PowerSample> pruned(
+    const util::RingBuffer<PowerSample>& reference, double min_ts_s) {
+  std::size_t first = 0;
+  while (first < reference.size() &&
+         reference[first].timestamp_s < min_ts_s) {
+    ++first;
+  }
+  util::RingBuffer<PowerSample> out(reference.capacity());
+  out.inherit_lifetime(reference.total_pushed() - (reference.size() - first));
+  for (std::size_t i = first; i < reference.size(); ++i) out.push(reference[i]);
+  return out;
+}
+
 TEST(ColumnarStore, MatchesRingBufferAcrossWraparound) {
   for (const std::size_t capacity : {std::size_t{1}, std::size_t{7},
                                      std::size_t{64}, std::size_t{100}}) {
@@ -69,23 +124,35 @@ TEST(ColumnarStore, MatchesRingBufferAcrossWraparound) {
     SampleGen gen(capacity);
     // Wrap several times over.
     for (std::size_t i = 0; i < capacity * 4 + 3; ++i) {
-      const PowerSample s = gen.sample();
-      store.push(s);
-      reference.push(s);
-      ASSERT_EQ(store.size(), reference.size());
-      ASSERT_EQ(store.total_pushed(), reference.total_pushed());
-      ASSERT_EQ(store.evicted(), reference.evicted());
-      ASSERT_TRUE(store.check_integrity()) << "capacity " << capacity
-                                           << " push " << i;
+      ASSERT_NO_FATAL_FAILURE(push_both(store, reference, gen.sample()));
     }
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      expect_same_sample(store.get(i), reference[i]);
-      EXPECT_EQ(store.timestamp_at(i), reference[i].timestamp_s);
-      EXPECT_EQ(store.best_w_at(i), reference[i].best_node_w());
-    }
-    expect_same_sample(store.front(), reference.front());
-    expect_same_sample(store.back(), reference.back());
+    expect_same_contents(store, reference);
   }
+
+  // Late widening: Lassen-width samples past the first wrap, then one with
+  // every socket and GPU (the store re-lays out with its ring wrapped),
+  // then narrow samples again around a prune_front.
+  ColumnarSampleStore store(8);
+  util::RingBuffer<PowerSample> reference(8);
+  SampleGen gen(11);
+  for (int i = 0; i < 11; ++i) {
+    ASSERT_NO_FATAL_FAILURE(push_both(store, reference, gen.sample(2, 4)));
+  }
+  ASSERT_NO_FATAL_FAILURE(push_both(store, reference, gen.widest()));
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_NO_FATAL_FAILURE(push_both(store, reference, gen.sample(2, 4)));
+  }
+  expect_same_contents(store, reference);
+  const double cut = reference[3].timestamp_s;
+  store.prune_front(cut);
+  reference = pruned(reference, cut);
+  ASSERT_EQ(store.evicted(), reference.evicted());
+  ASSERT_TRUE(store.check_integrity());
+  expect_same_contents(store, reference);
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_NO_FATAL_FAILURE(push_both(store, reference, gen.sample(2, 4)));
+  }
+  expect_same_contents(store, reference);
 }
 
 TEST(ColumnarStore, LedgerIdentityAcrossClearAndInherit) {

@@ -6,6 +6,7 @@
 // partial data instead of silently forgetting the loss.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -62,12 +63,12 @@ class ReconfigAccountingTest : public ::testing::Test {
     return st;
   }
 
-  void set_config(flux::Rank rank, util::Json payload) {
+  void set_config(flux::Rank rank, util::Json payload, int errnum = 0) {
     bool got = false;
     instance_->broker(rank).rpc(rank, kSetConfigTopic, std::move(payload),
                                 [&](const flux::Message& resp) {
                                   got = true;
-                                  EXPECT_FALSE(resp.is_error());
+                                  EXPECT_EQ(resp.errnum, errnum);
                                 });
     while (!got && sim_.step()) {
     }
@@ -103,6 +104,22 @@ TEST_F(ReconfigAccountingTest, BufferSwapCountsDiscardedSamplesAsEvicted) {
   EXPECT_EQ(later.size, 16);
   EXPECT_GT(later.evicted, after.evicted);
   EXPECT_EQ(later.taken, later.evicted + later.size + later.failures);
+}
+
+TEST_F(ReconfigAccountingTest, CapacityBelowOneIsRejected) {
+  sim_.run_until(10.0);
+  // A negative capacity must not wrap to a huge size_t and install a store
+  // that then grows toward it.
+  for (const std::int64_t capacity : {std::int64_t{-1}, std::int64_t{-4096},
+                                      std::int64_t{0}}) {
+    util::Json cfg = util::Json::object();
+    cfg["buffer_capacity"] = capacity;
+    set_config(1, std::move(cfg), flux::kEInval);
+  }
+  const Status after = status_of(1);
+  EXPECT_EQ(after.capacity, 8);
+  EXPECT_EQ(after.size, 8) << "a rejected request keeps the buffer";
+  EXPECT_EQ(after.taken, after.evicted + after.size + after.failures);
 }
 
 TEST_F(ReconfigAccountingTest, StraddlingWindowReportsPartial) {
