@@ -328,8 +328,9 @@ AppProfile make_profile(AppKind kind, Platform platform, int nnodes,
   if (nnodes <= 0) {
     throw std::invalid_argument("make_profile: nnodes must be positive");
   }
-  if (work_scale <= 0.0) {
-    throw std::invalid_argument("make_profile: work_scale must be positive");
+  if (!std::isfinite(work_scale) || work_scale <= 0.0) {
+    throw std::invalid_argument(
+        "make_profile: work_scale must be positive and finite");
   }
   switch (platform) {
     case Platform::LassenIbmAc922: return lassen_profile(kind, nnodes, work_scale);

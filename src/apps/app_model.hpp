@@ -94,7 +94,9 @@ struct AppProfile {
 
 /// Build the calibrated profile for an application at the given scale.
 /// `work_scale` multiplies the problem size (the paper's §IV-C experiments
-/// use a 10x Quicksilver problem and 2x GEMM iterations).
+/// use a 10x Quicksilver problem and 2x GEMM iterations). Throws
+/// std::invalid_argument unless `nnodes` is positive and `work_scale` is
+/// positive and finite.
 AppProfile make_profile(AppKind kind, hwsim::Platform platform, int nnodes,
                         double work_scale = 1.0);
 

@@ -25,8 +25,7 @@ CapResult ArmGraceNode::do_set_socket_power_cap(int socket, double watts) {
     applied = config_.cpu_max_w;
     status = CapStatus::Clamped;
   }
-  socket_caps_[static_cast<std::size_t>(socket)] = applied;
-  refresh();
+  store_cap(socket_caps_[static_cast<std::size_t>(socket)], applied);
   return {status, applied};
 }
 

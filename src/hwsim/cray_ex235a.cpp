@@ -20,8 +20,7 @@ CapResult CrayEx235aNode::do_set_gpu_power_cap(int gpu, double watts) {
     return {CapStatus::PermissionDenied, std::nullopt};
   }
   const double applied = std::clamp(watts, config_.gcd_idle_w, config_.gcd_max_w);
-  gpu_caps_[static_cast<std::size_t>(gpu)] = applied;
-  refresh();
+  store_cap(gpu_caps_[static_cast<std::size_t>(gpu)], applied);
   return {applied == watts ? CapStatus::Ok : CapStatus::Clamped, applied};
 }
 
@@ -33,8 +32,7 @@ CapResult CrayEx235aNode::do_set_socket_power_cap(int socket, double watts) {
     return {CapStatus::PermissionDenied, std::nullopt};
   }
   const double applied = std::clamp(watts, config_.cpu_idle_w, config_.cpu_max_w);
-  socket_caps_[static_cast<std::size_t>(socket)] = applied;
-  refresh();
+  store_cap(socket_caps_[static_cast<std::size_t>(socket)], applied);
   return {applied == watts ? CapStatus::Ok : CapStatus::Clamped, applied};
 }
 

@@ -71,19 +71,16 @@ CapResult IbmAc922Node::do_set_node_power_cap(double watts) {
     const std::uint64_t epoch = ++node_cap_epoch_;
     sim_.schedule_after(config_.node_cap_latency_s, [this, applied, epoch] {
       if (epoch != node_cap_epoch_) return;  // superseded by a newer write
-      node_cap_ = applied;
-      refresh();
+      store_cap(node_cap_, applied);
     });
     return {status, applied};
   }
-  node_cap_ = applied;
-  refresh();
+  store_cap(node_cap_, applied);
   return {status, applied};
 }
 
 CapResult IbmAc922Node::do_clear_node_power_cap() {
-  node_cap_.reset();
-  refresh();
+  store_cap(node_cap_, std::nullopt);
   return {CapStatus::Ok, config_.node_max_cap_w};
 }
 
@@ -105,9 +102,7 @@ CapResult IbmAc922Node::do_set_gpu_power_cap(int gpu, double watts) {
       // longer holds for this GPU either (this is how the paper could
       // observe GPUs "defaulting to the maximum power cap" despite the
       // node-level cap's conservative derivation).
-      gpu_caps_[idx] = config_.gpu_max_w;
-      wedged_[idx] = true;
-      refresh();
+      store_gpu_cap(idx, config_.gpu_max_w, /*wedged=*/true);
     }
     // Keep-last variant: state untouched. Either way NVML reports success.
     return {CapStatus::Ok, gpu_caps_[idx]};
@@ -126,16 +121,20 @@ CapResult IbmAc922Node::do_set_gpu_power_cap(int gpu, double watts) {
     const std::uint64_t epoch = ++gpu_cap_epochs_[idx];
     sim_.schedule_after(config_.gpu_cap_latency_s, [this, idx, applied, epoch] {
       if (epoch != gpu_cap_epochs_[idx]) return;
-      gpu_caps_[idx] = applied;
-      wedged_[idx] = false;
-      refresh();
+      store_gpu_cap(idx, applied, /*wedged=*/false);
     });
     return {status, applied};
   }
-  gpu_caps_[idx] = applied;
-  wedged_[idx] = false;  // a successful write un-wedges the GPU
-  refresh();
+  store_gpu_cap(idx, applied, /*wedged=*/false);  // a successful write un-wedges
   return {status, applied};
+}
+
+void IbmAc922Node::store_gpu_cap(std::size_t idx, double watts, bool wedged) {
+  // The wedge flag is a grant input of its own: flipping it refreshes even
+  // when the stored cap already holds `watts`.
+  const bool flipped = wedged_[idx] != wedged;
+  wedged_[idx] = wedged;
+  store_cap(gpu_caps_[idx], watts, flipped);
 }
 
 bool IbmAc922Node::gpu_cap_wedged(int gpu) const {

@@ -91,6 +91,9 @@ class IbmAc922Node final : public Node {
   Grants compute_grants(const LoadDemand& demand) const override;
 
  private:
+  /// Store GPU `idx`'s cap and wedge flag together (see Node::store_cap).
+  void store_gpu_cap(std::size_t idx, double watts, bool wedged);
+
   IbmAc922Config config_;
   int nvml_failures_ = 0;
   std::vector<bool> wedged_;

@@ -25,8 +25,7 @@ CapResult IntelXeonNode::do_set_socket_power_cap(int socket, double watts) {
     applied = config_.cpu_max_w;
     status = CapStatus::Clamped;
   }
-  socket_caps_[static_cast<std::size_t>(socket)] = applied;
-  refresh();
+  store_cap(socket_caps_[static_cast<std::size_t>(socket)], applied);
   return {status, applied};
 }
 
@@ -43,8 +42,7 @@ CapResult IntelXeonNode::do_set_gpu_power_cap(int gpu, double watts) {
     applied = config_.gpu_max_w;
     status = CapStatus::Clamped;
   }
-  gpu_caps_[static_cast<std::size_t>(gpu)] = applied;
-  refresh();
+  store_cap(gpu_caps_[static_cast<std::size_t>(gpu)], applied);
   return {status, applied};
 }
 

@@ -1,11 +1,41 @@
 #include "hwsim/node.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 
 namespace fluxpower::hwsim {
+
+namespace {
+
+// Bit-for-bit equality: -0.0 and 0.0 differ, a NaN equals its own bits.
+// Inputs that compare equal here yield bit-identical grants.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+template <std::size_t N>
+bool same_bits(const FixedWattsVec<N>& a, const FixedWattsVec<N>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!same_bits(a[i], b[i])) return false;
+  }
+  return true;
+}
+
+bool same_bits(const LoadDemand& a, const LoadDemand& b) {
+  return same_bits(a.mem_w, b.mem_w) && same_bits(a.cpu_w, b.cpu_w) &&
+         same_bits(a.gpu_w, b.gpu_w);
+}
+
+bool same_bits(const std::optional<double>& a, const std::optional<double>& b) {
+  return a.has_value() == b.has_value() && (!a || same_bits(*a, *b));
+}
+
+}  // namespace
 
 const char* domain_type_name(DomainType type) noexcept {
   switch (type) {
@@ -68,11 +98,18 @@ void Node::init_devices(int sockets, double cpu_idle_w, int gpus,
 }
 
 void Node::set_demand(const LoadDemand& demand) {
+  if (same_bits(demand, requested_)) {
+    meter_.update(sim_.now(), grants_.total());
+    return;
+  }
   requested_ = demand;
   refresh();
 }
 
-void Node::idle() { set_demand(LoadDemand{}); }
+void Node::idle() {
+  requested_ = LoadDemand{};
+  refresh();
+}
 
 void Node::refresh() {
   // Re-floor the raw request against the idle floor, scaled down in the
@@ -92,6 +129,16 @@ void Node::refresh() {
   demand_.mem_w = std::max(demand_.mem_w, floor.mem_w * scale);
   grants_ = compute_grants(demand_);
   meter_.update(sim_.now(), grants_.total());
+}
+
+void Node::store_cap(std::optional<double>& slot, std::optional<double> watts,
+                     bool other_input_changed) {
+  if (!other_input_changed && same_bits(slot, watts)) {
+    meter_.update(sim_.now(), grants_.total());
+    return;
+  }
+  slot = watts;
+  refresh();
 }
 
 double Node::noisy(double w) {

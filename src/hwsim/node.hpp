@@ -62,10 +62,13 @@ class Node {
   // -- Workload interface ---------------------------------------------------
 
   /// Set the instantaneous demand. Recomputes grants and advances the energy
-  /// integral. Demands below the idle floor are raised to it.
+  /// integral. Demands below the idle floor are raised to it. A request
+  /// equal bit for bit to the one in force only advances the integral: the
+  /// grants are a pure function of inputs that did not move.
   void set_demand(const LoadDemand& demand);
 
-  /// Return the node to idle draw.
+  /// Return the node to idle draw. Always recomputes grants (the vendor
+  /// constructors call it to derive the first ones).
   void idle();
 
   const LoadDemand& demand() const noexcept { return demand_; }
@@ -177,8 +180,17 @@ class Node {
   virtual CapResult do_set_socket_power_cap(int socket, double watts);
 
   /// Recompute grants from the current demand and update the energy meter.
-  /// Must be called by subclasses after any cap change.
+  /// Must follow any change to a grant input; cap stores get it through
+  /// store_cap().
   void refresh();
+
+  /// Store a cap register value and refresh(). When `slot` already holds
+  /// `watts` bit for bit and `other_input_changed` is false, the grants
+  /// cannot move, so only the energy meter ticks, at the same split point
+  /// refresh() would make. Every vendor cap store goes through here; pass
+  /// `other_input_changed` when the store changes another grant input too.
+  void store_cap(std::optional<double>& slot, std::optional<double> watts,
+                 bool other_input_changed = false);
 
   double noisy(double w);
 

@@ -96,12 +96,10 @@ CapResult cap_best_effort_node_power_limit(hwsim::Node& node, double watts) {
   return aggregate;
 }
 
-std::vector<CapResult> cap_each_gpu_power_limit(hwsim::Node& node,
-                                                double watts) {
-  std::vector<CapResult> results;
-  results.reserve(static_cast<std::size_t>(node.gpu_count()));
+GpuCapResults cap_each_gpu_power_limit(hwsim::Node& node, double watts) {
+  GpuCapResults results;
   for (int i = 0; i < node.gpu_count(); ++i) {
-    results.push_back(node.set_gpu_power_cap(i, watts));
+    results.data[results.count++] = node.set_gpu_power_cap(i, watts);
   }
   return results;
 }

@@ -14,7 +14,7 @@
 // per-architecture backends.
 #pragma once
 
-#include <vector>
+#include <cstddef>
 
 #include "hwsim/node.hpp"
 #include "util/json.hpp"
@@ -54,10 +54,22 @@ hwsim::PowerSample parse_node_power_json(const util::Json& json);
 hwsim::CapResult cap_best_effort_node_power_limit(hwsim::Node& node,
                                                   double watts);
 
+/// Per-GPU cap results held inline, one per GPU in GPU order: vendor
+/// constructors reject more than kMaxGpuSensors GPUs, so they always fit
+/// and a call allocates nothing (as FixedWattsVec does for watts).
+struct GpuCapResults {
+  hwsim::CapResult data[hwsim::kMaxGpuSensors] = {};
+  std::size_t count = 0;
+
+  std::size_t size() const noexcept { return count; }
+  bool empty() const noexcept { return count == 0; }
+  const hwsim::CapResult* begin() const noexcept { return data; }
+  const hwsim::CapResult* end() const noexcept { return data + count; }
+};
+
 /// Apply the same power cap to every GPU on the node. Returns per-GPU
 /// results (a node with capping fused off yields PermissionDenied for each).
-std::vector<hwsim::CapResult> cap_each_gpu_power_limit(hwsim::Node& node,
-                                                       double watts);
+GpuCapResults cap_each_gpu_power_limit(hwsim::Node& node, double watts);
 
 /// Cap a single GPU (used by FPP's per-GPU, non-uniform capping).
 hwsim::CapResult cap_gpu_power_limit(hwsim::Node& node, int gpu, double watts);

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace fluxpower::apps {
 namespace {
 
@@ -43,6 +45,14 @@ TEST(Profiles, InvalidArgsRejected) {
                std::invalid_argument);
   EXPECT_THROW(make_profile(AppKind::Gemm, Platform::LassenIbmAc922, 4, 0.0),
                std::invalid_argument);
+  // A non-finite scale would simulate a job that never runs.
+  for (double scale : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(make_profile(AppKind::Gemm, Platform::LassenIbmAc922, 4, scale),
+                 std::invalid_argument)
+        << scale;
+  }
 }
 
 TEST(Profiles, PhaseWorkFractionsSumToOne) {

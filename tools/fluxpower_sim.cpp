@@ -158,7 +158,11 @@ int main(int argc, char** argv) {
             [](const JobRequest& a, const JobRequest& b) {
               return a.submit_time_s < b.submit_time_s;
             });
-  for (const JobRequest& job : jobs) scenario->submit(job);
+  try {
+    for (const JobRequest& job : jobs) scenario->submit(job);
+  } catch (const std::invalid_argument& e) {
+    usage(argv[0], e.what());  // e.g. a non-positive or non-finite scale
+  }
   const ScenarioResult result = scenario->run();
 
   if (print_json) {
