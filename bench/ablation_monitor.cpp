@@ -4,19 +4,10 @@
 // motivates those defaults — faster sampling costs application time and
 // shortens buffer coverage, slower sampling degrades the trapezoidal
 // energy estimate on phase-heavy applications.
-//
-// A second section ablates the telemetry data plane itself: the same
-// window query is issued over the typed protocol (PowerSample structs
-// end-to-end) and the legacy JSON protocol (render at the node-agent,
-// parse at the client), comparing host wall-clock per query and per-sample
-// buffer memory.
-#include <chrono>
 #include <iostream>
 
 #include "bench/common.hpp"
 #include "experiments/scenario.hpp"
-#include "monitor/client.hpp"
-#include "variorum/variorum.hpp"
 
 using namespace fluxpower;
 using namespace fluxpower::experiments;
@@ -62,55 +53,5 @@ int main() {
       "the paper's 2 s / 100k-sample default sits where overhead is ~0.4%, "
       "the 2 s trapezoid tracks exact energy within a few percent, and the "
       "circular buffer covers multi-day jobs.");
-
-  bench::banner("Ablation: telemetry data plane",
-                "typed PowerSample end-to-end vs JSON at every layer (8 "
-                "nodes, Lassen, full-window queries)");
-  util::TextTable plane({"data plane", "host us/query", "samples/query",
-                         "per-sample bytes"});
-  double json_us = 0.0, typed_us = 0.0;
-  for (const bool typed : {false, true}) {
-    ScenarioConfig cfg;
-    cfg.nodes = 8;
-    cfg.monitor = monitor::PowerMonitorConfig::for_lassen();
-    Scenario s(cfg);
-    s.sim().run_until(400.0);  // ~200 samples per node in the buffers
-    monitor::MonitorClient client(s.instance());
-    client.set_typed_protocol(typed);
-    std::vector<flux::Rank> ranks;
-    for (int i = 0; i < cfg.nodes; ++i) ranks.push_back(i);
-
-    std::size_t samples = 0;
-    const int reps = 50;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int rep = 0; rep < reps; ++rep) {
-      auto window = client.query_window_blocking(ranks, 0.0, 400.0);
-      samples = 0;
-      if (window) {
-        for (const auto& n : window->nodes) samples += n.samples.size();
-      }
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    const double us_per_query =
-        std::chrono::duration<double, std::micro>(t1 - t0).count() / reps;
-    (typed ? typed_us : json_us) = us_per_query;
-
-    // Per-sample memory in the node-agent's ring buffer.
-    sim::Simulation probe_sim;
-    hwsim::IbmAc922Node probe(probe_sim, "lassen0");
-    const std::size_t per_sample =
-        typed ? sizeof(hwsim::PowerSample)
-              : variorum::get_node_power_json(probe).dump().size();
-    // Host wall-clock is nondeterministic: the column renders "-" unless
-    // FLUXPOWER_HOST_TIMING=1, keeping default stdout byte-stable.
-    plane.add_row({typed ? "typed (PowerSample)" : "JSON (legacy)",
-                   bench::host_us(us_per_query),
-                   std::to_string(samples), std::to_string(per_sample)});
-  }
-  plane.print(std::cout);
-  if (bench::host_timing_enabled() && typed_us > 0.0) {
-    bench::note("typed data plane speedup over JSON: " +
-                bench::num(json_us / typed_us, 2) + "x per query");
-  }
   return 0;
 }

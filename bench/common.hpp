@@ -59,18 +59,12 @@ inline std::string num(double v, int precision = 2) {
 }
 
 /// Host wall-clock readouts are a side channel, gated entirely on the
-/// environment: FLUXPOWER_HOST_TIMING=1 prints real microseconds; unset,
+/// environment: FLUXPOWER_HOST_TIMING=1 prints real host times; unset,
 /// the affected cells render "-" so bench stdout stays byte-identical
 /// run-to-run (the CI byte-diff lanes depend on that).
 inline bool host_timing_enabled() {
   const char* v = std::getenv("FLUXPOWER_HOST_TIMING");
   return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
-/// A host wall-clock cell: the measured value with timing enabled, "-"
-/// (deterministic) otherwise.
-inline std::string host_us(double us, int precision = 1) {
-  return host_timing_enabled() ? num(us, precision) : std::string("-");
 }
 
 /// "measured (paper X)" cell.

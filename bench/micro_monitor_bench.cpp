@@ -1,25 +1,14 @@
-// Microbenchmarks for the monitor data plane: the columnar (SoA) sample
-// store against the seed's row-of-structs ring, the consume-variant period
-// estimator, and — sim-driven — the TBON traffic optimization this
-// refactor introduced (incremental delta aggregation).
+// Microbenchmarks for the monitor data plane: the read paths of the
+// columnar (SoA) sample store and the consume-variant period estimator.
 //
 // Workloads:
 //   * sweep stats      — mean/peak of best-node-watts over the whole ring
-//                        (the ledger/report sweep shape); row vs columnar
-//   * percentile       — p99 via nth_element over the extracted watt
-//                        column; row vs columnar
-//   * window query     — [start, end] window stats: linear timestamp scan
-//                        (row) vs binary search + unit-stride segments
+//                        (the ledger/report sweep shape)
+//   * percentile       — p99 via nth_element over the extracted watt column
+//   * window query     — [start, end] window stats: binary search +
+//                        unit-stride segments
 //   * find_period      — copying estimator vs the in-place consume variant
 //                        on a column already materialized by copy_best_w
-//   * merge bytes/hop  — full re-merge vs delta aggregation: samples
-//                        shipped per repeated root window query, read off
-//                        the fluxpower_monitor_merge_bytes_total registry
-//                        counters of a live 16-node TBON stack
-//
-// The `row` namespace replicates the seed layout (util::RingBuffer of
-// PowerSample structs) so the before/after comparison is carried inside
-// one binary and one JSON file.
 //
 // Unless the caller passes its own --benchmark_out, results are written to
 // BENCH_monitor.json (google-benchmark JSON format).
@@ -28,38 +17,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "dsp/period.hpp"
-#include "flux/instance.hpp"
-#include "hwsim/cluster.hpp"
-#include "monitor/client.hpp"
-#include "monitor/power_monitor.hpp"
 #include "monitor/sample_store.hpp"
-#include "util/ring_buffer.hpp"
 
 using namespace fluxpower;
-
-namespace row {
-
-/// Seed-layout baseline: the monitor's original row-of-structs ring with
-/// the linear read paths it forced. Kept minimal — push, indexed get and a
-/// linear window scan — exactly what the pre-columnar module did.
-class RowSampleStore {
- public:
-  explicit RowSampleStore(std::size_t capacity) : ring_(capacity) {}
-
-  void push(const hwsim::PowerSample& s) { ring_.push(s); }
-  std::size_t size() const noexcept { return ring_.size(); }
-  const hwsim::PowerSample& get(std::size_t i) const { return ring_[i]; }
-
- private:
-  util::RingBuffer<hwsim::PowerSample> ring_;
-};
-
-}  // namespace row
 
 namespace {
 
@@ -85,9 +49,8 @@ hwsim::PowerSample make_sample(std::size_t i) {
   return s;
 }
 
-template <typename Store>
-Store make_filled_store() {
-  Store store(kRingSamples);
+monitor::ColumnarSampleStore make_filled_store() {
+  monitor::ColumnarSampleStore store(kRingSamples);
   for (std::size_t i = 0; i < kRingSamples + kRingSamples / 2; ++i) {
     store.push(make_sample(i));  // overfill so the ring seam is exercised
   }
@@ -96,26 +59,8 @@ Store make_filled_store() {
 
 // --- Sweep stats: mean/peak of best-node-watts over the whole ring ---------
 
-void BM_SweepStats_Row(benchmark::State& state) {
-  const auto store = make_filled_store<row::RowSampleStore>();
-  double sink = 0.0;
-  for (auto _ : state) {
-    double sum = 0.0, peak = 0.0;
-    for (std::size_t i = 0; i < store.size(); ++i) {
-      const double w = store.get(i).best_node_w();
-      sum += w;
-      peak = std::max(peak, w);
-    }
-    sink += sum + peak;
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kRingSamples));
-}
-BENCHMARK(BM_SweepStats_Row);
-
 void BM_SweepStats_Columnar(benchmark::State& state) {
-  const auto store = make_filled_store<monitor::ColumnarSampleStore>();
+  const auto store = make_filled_store();
   double sink = 0.0;
   for (auto _ : state) {
     double sum = 0.0, peak = 0.0;
@@ -136,28 +81,8 @@ BENCHMARK(BM_SweepStats_Columnar);
 
 // --- Percentile: p99 of the watt column ------------------------------------
 
-void BM_Percentile_Row(benchmark::State& state) {
-  const auto store = make_filled_store<row::RowSampleStore>();
-  std::vector<double> watts;
-  double sink = 0.0;
-  for (auto _ : state) {
-    watts.clear();
-    watts.reserve(store.size());
-    for (std::size_t i = 0; i < store.size(); ++i) {
-      watts.push_back(store.get(i).best_node_w());
-    }
-    const std::size_t k = watts.size() * 99 / 100;
-    std::nth_element(watts.begin(), watts.begin() + k, watts.end());
-    sink += watts[k];
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kRingSamples));
-}
-BENCHMARK(BM_Percentile_Row);
-
 void BM_Percentile_Columnar(benchmark::State& state) {
-  const auto store = make_filled_store<monitor::ColumnarSampleStore>();
+  const auto store = make_filled_store();
   std::vector<double> watts;
   double sink = 0.0;
   for (auto _ : state) {
@@ -174,34 +99,11 @@ BENCHMARK(BM_Percentile_Columnar);
 
 // --- Window query: stats over [start, end] ---------------------------------
 //
-// A 4096-sample window out of the 64k ring. The row path must scan
-// timestamps linearly (the seed behavior); the columnar path binary
-// searches the timestamp column and sweeps two contiguous spans.
-
-void BM_WindowQuery_Row(benchmark::State& state) {
-  const auto store = make_filled_store<row::RowSampleStore>();
-  const double start = store.get(store.size() / 2).timestamp_s;
-  const double end = start + 2.0 * 4096.0;
-  double sink = 0.0;
-  for (auto _ : state) {
-    double sum = 0.0;
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < store.size(); ++i) {
-      const hwsim::PowerSample& s = store.get(i);
-      if (s.timestamp_s < start || s.timestamp_s > end) continue;
-      sum += s.best_node_w();
-      ++n;
-    }
-    sink += sum / static_cast<double>(n);
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kRingSamples));
-}
-BENCHMARK(BM_WindowQuery_Row);
+// A 4096-sample window out of the 64k ring: binary search over the
+// timestamp column, then a sweep of two contiguous spans.
 
 void BM_WindowQuery_Columnar(benchmark::State& state) {
-  const auto store = make_filled_store<monitor::ColumnarSampleStore>();
+  const auto store = make_filled_store();
   const double start = store.timestamp_at(store.size() / 2);
   const double end = start + 2.0 * 4096.0;
   double sink = 0.0;
@@ -227,7 +129,7 @@ BENCHMARK(BM_WindowQuery_Columnar);
 // windows and pads that buffer in place instead of copying it again.
 
 void BM_FindPeriod_Copy(benchmark::State& state) {
-  const auto store = make_filled_store<monitor::ColumnarSampleStore>();
+  const auto store = make_filled_store();
   std::vector<double> watts;
   double sink = 0.0;
   for (auto _ : state) {
@@ -241,7 +143,7 @@ void BM_FindPeriod_Copy(benchmark::State& state) {
 BENCHMARK(BM_FindPeriod_Copy);
 
 void BM_FindPeriod_Consume(benchmark::State& state) {
-  const auto store = make_filled_store<monitor::ColumnarSampleStore>();
+  const auto store = make_filled_store();
   std::vector<double> watts;
   double sink = 0.0;
   for (auto _ : state) {
@@ -253,76 +155,6 @@ void BM_FindPeriod_Consume(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2048);
 }
 BENCHMARK(BM_FindPeriod_Consume);
-
-// --- Merge bytes per hop: full re-merge vs delta aggregation ---------------
-//
-// A live 16-node TBON stack answering the same repeated root window query.
-// Every broker's fluxpower_monitor_merge_bytes_total counts the samples it
-// ships upward per merge; summed over the tree that is the query's
-// hop-weighted payload. Arg 0 = full re-merge, arg 1 = delta aggregation
-// (one warm-up query first, so the measured region is steady state — the
-// first delta query is a full resync and ships everything). The acceptance
-// gate is bytes_per_query(delta) strictly below bytes_per_query(full).
-
-void BM_MergeBytesPerQuery(benchmark::State& state) {
-  const bool delta = state.range(0) != 0;
-  constexpr int kNodes = 16;
-  sim::Simulation sim;
-  hwsim::Cluster cluster =
-      hwsim::make_cluster(sim, hwsim::Platform::LassenIbmAc922, kNodes);
-  std::vector<hwsim::Node*> ptrs;
-  for (int i = 0; i < kNodes; ++i) ptrs.push_back(&cluster.node(i));
-  flux::InstanceConfig icfg;
-  icfg.tbon_fanout = 2;
-  flux::Instance instance(sim, std::move(ptrs), icfg);
-  monitor::PowerMonitorConfig mcfg = monitor::PowerMonitorConfig::for_lassen();
-  mcfg.archive_jobs = false;
-  mcfg.delta_aggregation = delta;
-  instance.load_module_on_all<monitor::PowerMonitorModule>(mcfg);
-  std::vector<flux::Rank> ranks;
-  for (int r = 0; r < kNodes; ++r) ranks.push_back(r);
-  monitor::MonitorClient client(instance);
-
-  // Bytes shipped at every broker's upward merge, and the interior subset
-  // (every hop but the root's final client-facing serve — the root always
-  // ships the full windowed answer, so the interior hops are where delta
-  // vs full differ).
-  auto merge_bytes = [&](bool interior_only) {
-    double total = 0.0;
-    for (int r = interior_only ? 1 : 0; r < kNodes; ++r) {
-      total += instance.broker(r)
-                   .metrics()
-                   .value("fluxpower_monitor_merge_bytes_total")
-                   .value_or(0.0);
-    }
-    return total;
-  };
-  auto query = [&] {
-    client.query_window_blocking(ranks, sim.now() - 120.0, sim.now());
-  };
-
-  sim.run_until(180.0);
-  query();  // delta resync: the first delta query ships everything retained
-  const double bytes_before = merge_bytes(false);
-  const double interior_before = merge_bytes(true);
-  for (auto _ : state) {
-    sim.run_until(sim.now() + 10.0);  // 5 fresh samples per node
-    query();
-  }
-  const double queries = static_cast<double>(state.iterations());
-  const double per_query = (merge_bytes(false) - bytes_before) / queries;
-  const double interior = (merge_bytes(true) - interior_before) / queries;
-  state.counters["merge_bytes_per_query"] = per_query;
-  state.counters["interior_bytes_per_query"] = interior;
-  state.counters["samples_per_query"] =
-      per_query / static_cast<double>(sizeof(hwsim::PowerSample));
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MergeBytesPerQuery)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("delta")
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -12,9 +12,8 @@
 //   * mixed stack      — cluster + TBON instance + power monitor on every
 //                        broker + broadcast traffic at 128/1k/8k nodes
 //
-// The `legacy` namespace is a line-faithful replica of the seed engine
-// (std::function callbacks in an unordered_map, binary heap of ids) so the
-// before/after comparison is carried inside one binary and one JSON file.
+// The seed engine's numbers, measured against an in-binary replica that
+// has since been removed, are recorded in EXPERIMENTS.md.
 //
 // Unless the caller passes its own --benchmark_out, results are written to
 // BENCH_sim.json (google-benchmark JSON format).
@@ -26,12 +25,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <map>
+#include <memory>
 #include <new>
-#include <queue>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "flux/instance.hpp"
@@ -69,136 +66,16 @@ void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 using namespace fluxpower;
 
-namespace legacy {
-
-// Replica of the seed engine (pre-pool, pre-wheel) for the before/after
-// comparison: one std::function heap allocation, one unordered_map insert,
-// one find+erase, and one heap push/pop per event.
-using Time = double;
-using EventId = std::uint64_t;
-
-class Simulation {
- public:
-  Time now() const noexcept { return now_; }
-
-  EventId schedule_at(Time t, std::function<void()> fn) {
-    const EventId id = next_id_++;
-    queue_.push(QueueEntry{t, next_seq_++, id});
-    callbacks_.emplace(id, std::move(fn));
-    return id;
-  }
-  EventId schedule_after(Time dt, std::function<void()> fn) {
-    return schedule_at(now_ + dt, std::move(fn));
-  }
-
-  bool cancel(EventId id) { return callbacks_.erase(id) > 0; }
-
-  bool step() {
-    while (!queue_.empty()) {
-      QueueEntry entry = queue_.top();
-      queue_.pop();
-      auto it = callbacks_.find(entry.id);
-      if (it == callbacks_.end()) continue;
-      std::function<void()> fn = std::move(it->second);
-      callbacks_.erase(it);
-      now_ = entry.time;
-      ++executed_;
-      fn();
-      return true;
-    }
-    return false;
-  }
-
-  void run() {
-    while (step()) {
-    }
-  }
-
-  void run_until(Time t) {
-    while (!queue_.empty()) {
-      const QueueEntry& top = queue_.top();
-      if (!callbacks_.contains(top.id)) {
-        queue_.pop();
-        continue;
-      }
-      if (top.time > t) break;
-      step();
-    }
-    if (now_ < t) now_ = t;
-  }
-
-  std::uint64_t events_executed() const noexcept { return executed_; }
-
- private:
-  struct QueueEntry {
-    Time time;
-    std::uint64_t seq;
-    EventId id;
-    bool operator>(const QueueEntry& other) const {
-      if (time != other.time) return time > other.time;
-      return seq > other.seq;
-    }
-  };
-
-  Time now_ = 0.0;
-  std::uint64_t next_id_ = 1;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t executed_ = 0;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>>
-      queue_;
-  std::unordered_map<EventId, std::function<void()>> callbacks_;
-};
-
-class PeriodicTask {
- public:
-  PeriodicTask(Simulation& sim, Time period, std::function<bool()> fn)
-      : sim_(sim), period_(period), fn_(std::move(fn)) {
-    arm(period_);
-  }
-  ~PeriodicTask() { stop(); }
-
-  void stop() {
-    running_ = false;
-    if (pending_ != 0) {
-      sim_.cancel(pending_);
-      pending_ = 0;
-    }
-  }
-
- private:
-  void arm(Time delay) {
-    pending_ = sim_.schedule_after(delay, [this] {
-      pending_ = 0;
-      if (!running_) return;
-      if (fn_()) {
-        arm(period_);
-      } else {
-        running_ = false;
-      }
-    });
-  }
-
-  Simulation& sim_;
-  Time period_;
-  std::function<bool()> fn_;
-  EventId pending_ = 0;
-  bool running_ = true;
-};
-
-}  // namespace legacy
-
 namespace {
 
 // --- Schedule-fire: the raw one-shot event cycle ---------------------------
 //
-// Delays cycle through [0, 16 s) in 0.25 s steps so pooled runs exercise
-// both the timer-wheel near buckets and ordinary in-epoch placement; heap
-// runs see the same (time, seq) stream.
+// Delays cycle through [0, 16 s) in 0.25 s steps so the runs exercise both
+// the timer-wheel near buckets and ordinary in-epoch placement.
 
-template <typename Sim>
-void run_schedule_fire(benchmark::State& state) {
+void BM_ScheduleFire_Pooled(benchmark::State& state) {
   constexpr int kBatch = 4096;
-  Sim sim;
+  sim::Simulation sim;
   std::uint64_t sink = 0;
   for (auto _ : state) {
     for (int i = 0; i < kBatch; ++i) {
@@ -210,23 +87,13 @@ void run_schedule_fire(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
-
-void BM_ScheduleFire_Legacy(benchmark::State& state) {
-  run_schedule_fire<legacy::Simulation>(state);
-}
-BENCHMARK(BM_ScheduleFire_Legacy);
-
-void BM_ScheduleFire_Pooled(benchmark::State& state) {
-  run_schedule_fire<sim::Simulation>(state);
-}
 BENCHMARK(BM_ScheduleFire_Pooled);
 
 // --- Schedule-cancel: module unload / RPC-timeout churn --------------------
 
-template <typename Sim>
-void run_schedule_cancel(benchmark::State& state) {
+void BM_ScheduleCancel_Pooled(benchmark::State& state) {
   constexpr int kBatch = 4096;
-  Sim sim;
+  sim::Simulation sim;
   std::vector<std::uint64_t> ids(kBatch);
   std::uint64_t sink = 0;
   for (auto _ : state) {
@@ -242,15 +109,6 @@ void run_schedule_cancel(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
-
-void BM_ScheduleCancel_Legacy(benchmark::State& state) {
-  run_schedule_cancel<legacy::Simulation>(state);
-}
-BENCHMARK(BM_ScheduleCancel_Legacy);
-
-void BM_ScheduleCancel_Pooled(benchmark::State& state) {
-  run_schedule_cancel<sim::Simulation>(state);
-}
 BENCHMARK(BM_ScheduleCancel_Pooled);
 
 // --- Periodic re-arm: the monitor-sweep shape ------------------------------
@@ -259,8 +117,7 @@ BENCHMARK(BM_ScheduleCancel_Pooled);
 // allocations per fired event; the pooled engine's re-arm path must be zero
 // once the wheel/pool reach steady-state capacity.
 
-template <typename Sim, typename Periodic>
-void run_periodic_rearm(benchmark::State& state) {
+void BM_PeriodicRearm_Pooled(benchmark::State& state) {
   constexpr int kTasks = 64;
   constexpr double kPeriod = 2.0;
   constexpr double kWindow = 64 * kPeriod;
@@ -268,15 +125,16 @@ void run_periodic_rearm(benchmark::State& state) {
   // grows its vector once. Warm past a full epoch so the measured region
   // sees only recycled capacity.
   constexpr double kWarmup = 1536.0;
-  Sim sim;
+  sim::Simulation sim;
   std::uint64_t fired = 0;
-  std::vector<std::unique_ptr<Periodic>> tasks;
+  std::vector<std::unique_ptr<sim::PeriodicTask>> tasks;
   tasks.reserve(kTasks);
   for (int i = 0; i < kTasks; ++i) {
-    tasks.push_back(std::make_unique<Periodic>(sim, kPeriod, [&fired] {
-      ++fired;
-      return true;
-    }));
+    tasks.push_back(
+        std::make_unique<sim::PeriodicTask>(sim, kPeriod, [&fired] {
+          ++fired;
+          return true;
+        }));
   }
   sim.run_until(sim.now() + kWarmup);  // warm up pool/wheel/map capacity
   const std::uint64_t fired_before = fired;
@@ -292,15 +150,6 @@ void run_periodic_rearm(benchmark::State& state) {
   state.counters["heap_allocs_per_event"] =
       events == 0 ? 0.0
                   : static_cast<double>(allocs) / static_cast<double>(events);
-}
-
-void BM_PeriodicRearm_Legacy(benchmark::State& state) {
-  run_periodic_rearm<legacy::Simulation, legacy::PeriodicTask>(state);
-}
-BENCHMARK(BM_PeriodicRearm_Legacy);
-
-void BM_PeriodicRearm_Pooled(benchmark::State& state) {
-  run_periodic_rearm<sim::Simulation, sim::PeriodicTask>(state);
 }
 BENCHMARK(BM_PeriodicRearm_Pooled);
 

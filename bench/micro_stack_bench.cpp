@@ -1,10 +1,9 @@
-// Microbenchmarks across the stack: the telemetry data plane typed-vs-JSON
-// (sample → ring-buffer store → subtree aggregate, both ways), Variorum
-// JSON encode/decode at the edges, Flux RPC round-trip through the
-// simulated TBON, and the simulator's raw event throughput. Together these
-// justify the "low overhead" telemetry claim — a sample costs microseconds
-// of host CPU against a 2 s period — and quantify the typed data plane's
-// win over the historical JSON-everywhere plane.
+// Microbenchmarks across the stack: the typed telemetry data plane
+// (sample → ring-buffer store → subtree aggregate, and a window query
+// through the instance), Variorum JSON encode/decode at the edges, Flux
+// RPC round-trip through the simulated TBON, and the simulator's raw event
+// throughput. Together these justify the "low overhead" telemetry claim —
+// a sample costs microseconds of host CPU against a 2 s period.
 //
 // Unless the caller passes its own --benchmark_out, results are also
 // written to BENCH_stack.json (google-benchmark JSON format) so the perf
@@ -27,52 +26,12 @@ using namespace fluxpower;
 
 namespace {
 
-/// Approximate resident memory of a util::Json tree: the variant nodes plus
-/// string storage plus container payloads. Used to compare the in-memory
-/// cost of one JSON telemetry sample against sizeof(PowerSample).
-std::size_t approx_json_memory_bytes(const util::Json& j) {
-  std::size_t bytes = sizeof(util::Json);
-  if (j.is_string()) {
-    bytes += j.as_string().capacity();
-  } else if (j.is_array()) {
-    for (const util::Json& v : j.as_array()) bytes += approx_json_memory_bytes(v);
-  } else if (j.is_object()) {
-    for (const auto& [key, value] : j.as_object()) {
-      bytes += sizeof(std::string) + key.capacity();
-      bytes += approx_json_memory_bytes(value);
-    }
-  }
-  return bytes;
-}
-
-// --- Typed vs JSON: the sample → store → aggregate hot path ---------------
+// --- The sample → store → aggregate hot path ------------------------------
 //
 // Models one node-agent tick plus its share of a window aggregation, the
 // loop the monitor runs every 2 s on every node: read the sensors, store
 // the sample, and (amortized) contribute it to a TBON merge that the client
-// consumes as typed data. The JSON variant is the historical data plane:
-// render to util::Json, store the object, copy it into the merged entry and
-// parse it back to typed at the consumer.
-
-void BM_SampleStoreAggregateJson(benchmark::State& state) {
-  sim::Simulation sim;
-  hwsim::IbmAc922Node node(sim, "lassen0");
-  util::RingBuffer<util::Json> buffer(100000);
-  double acc = 0.0;
-  for (auto _ : state) {
-    buffer.push(variorum::get_node_power_json(node));     // sample + store
-    util::Json merged = util::Json::array();              // TBON contribution
-    merged.push_back(buffer.back());
-    const hwsim::PowerSample s =                          // consumer decode
-        variorum::parse_node_power_json(merged[0]);
-    acc += s.best_node_w();
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["per_sample_bytes"] = static_cast<double>(
-      approx_json_memory_bytes(variorum::get_node_power_json(node)));
-}
-BENCHMARK(BM_SampleStoreAggregateJson);
+// consumes as typed data.
 
 void BM_SampleStoreAggregateTyped(benchmark::State& state) {
   sim::Simulation sim;
@@ -92,9 +51,9 @@ void BM_SampleStoreAggregateTyped(benchmark::State& state) {
 }
 BENCHMARK(BM_SampleStoreAggregateTyped);
 
-// --- Typed vs JSON: a full window query through the instance --------------
+// --- A full window query through the instance -----------------------------
 
-void run_window_query_bench(benchmark::State& state, bool typed) {
+void BM_MonitorWindowQueryTyped(benchmark::State& state) {
   const int nodes = 8;
   sim::Simulation sim;
   hwsim::Cluster cluster =
@@ -106,7 +65,6 @@ void run_window_query_bench(benchmark::State& state, bool typed) {
       monitor::PowerMonitorConfig::for_lassen());
   sim.run_until(200.0);  // fill the buffers with ~100 samples per node
   monitor::MonitorClient client(instance);
-  client.set_typed_protocol(typed);
   std::vector<flux::Rank> ranks;
   for (int i = 0; i < nodes; ++i) ranks.push_back(i);
   for (auto _ : state) {
@@ -114,15 +72,6 @@ void run_window_query_bench(benchmark::State& state, bool typed) {
     benchmark::DoNotOptimize(window);
   }
   state.SetItemsProcessed(state.iterations() * nodes * 100);
-}
-
-void BM_MonitorWindowQueryJson(benchmark::State& state) {
-  run_window_query_bench(state, /*typed=*/false);
-}
-BENCHMARK(BM_MonitorWindowQueryJson);
-
-void BM_MonitorWindowQueryTyped(benchmark::State& state) {
-  run_window_query_bench(state, /*typed=*/true);
 }
 BENCHMARK(BM_MonitorWindowQueryTyped);
 

@@ -86,7 +86,7 @@ class Broker {
   void respond(const Message& request, util::Json payload);
   /// Respond with a typed telemetry batch plus JSON meta keys. The batch
   /// travels by pointer through the TBON; the codec renders it to the
-  /// legacy JSON shape if the message ever hits the wire boundary.
+  /// historical JSON shape if the message ever hits the wire boundary.
   void respond_telemetry(const Message& request, util::Json meta,
                          std::shared_ptr<const TelemetryBatch> batch);
   void respond_error(const Message& request, int errnum, std::string text);

@@ -3,14 +3,13 @@
 // The monitor's data plane carries hwsim::PowerSample structs end-to-end:
 // node-agents store them raw in the ring buffer, brokers merge them through
 // the TBON subtree reduction, and the root hands them to the client — all
-// without serializing. JSON exists only at the edges: a response is rendered
-// (a) when a requester did not opt into the typed protocol, or (b) when a
-// message crosses the codec boundary (wire dumps, journal). Both renderings
-// are byte-identical to the historical JSON-everywhere payloads, so wire
-// formats and experiment outputs are unchanged.
+// without serializing. Every get-data, get-subtree and query-job answer is
+// a typed batch. JSON exists only at the edges: the codec renders a batch
+// into the payload when a message crosses the wire boundary (wire dumps,
+// journal), byte-identical to the historical JSON-everywhere payloads, so
+// wire formats and experiment outputs are unchanged.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,18 +32,6 @@ struct TelemetryNodeEntry {
   bool errored = false;
   std::string error;
   std::vector<hwsim::PowerSample> samples;
-
-  // --- Incremental-aggregation meta (intra-tree hops only; never rendered
-  // --- into the edge JSON, which stays byte-identical to the legacy shape).
-  /// When true, `samples` holds only readings newer than the requester's
-  /// watermark for this rank, and the source-buffer meta below lets the
-  /// requester keep an exact mirror (replica) of the source ring: prune to
-  /// front_ts_s, append the delta, carry the eviction ledger through.
-  bool delta = false;
-  bool source_empty = false;      ///< source buffer held no samples
-  double front_ts_s = 0.0;        ///< oldest retained timestamp at source
-  std::uint64_t source_evicted = 0;   ///< source lifetime eviction count
-  std::uint32_t source_capacity = 0;  ///< source ring capacity
 };
 
 /// A merged set of per-node entries travelling up the TBON. Held by
@@ -67,20 +54,5 @@ util::Json render_telemetry_entry(const TelemetryNodeEntry& entry);
 /// single_entry batches). `meta` is the message's JSON payload.
 util::Json render_telemetry_payload(const util::Json& meta,
                                     const TelemetryBatch& batch);
-
-/// Decode a per-node JSON entry back to typed form (fallback for responses
-/// from agents speaking the JSON protocol).
-TelemetryNodeEntry parse_telemetry_entry(const util::Json& entry);
-
-/// The payload key internal requesters set to receive typed responses.
-/// Absent → the responder renders JSON, byte-identical to the legacy path.
-inline constexpr const char* kTypedProtoKey = "proto";
-inline constexpr const char* kTypedProtoValue = "typed";
-
-/// Does this request opt into typed-telemetry responses?
-bool wants_typed_telemetry(const Message& request);
-
-/// Mark a request payload as typed-protocol.
-void request_typed_telemetry(util::Json& payload);
 
 }  // namespace fluxpower::flux

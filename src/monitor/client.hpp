@@ -54,13 +54,9 @@ struct JobPowerData {
   double average_node_energy_j() const;
 };
 
-/// Decode a `power-monitor.query-job` response payload. Shared by the
-/// client and the root-agent's job archive.
-JobPowerData parse_job_power_payload(const util::Json& payload);
-
-/// Decode a `power-monitor.query-job` response message, preferring the
-/// typed-telemetry fast path (no JSON parse at all) when the response
-/// carries a batch, and falling back to the JSON payload otherwise.
+/// Decode a successful `power-monitor.query-job` response: the meta keys
+/// from its JSON payload and the nodes from its typed batch, sorted by
+/// rank. Shared by the client and the root-agent's job archive.
 JobPowerData parse_job_power_message(const flux::Message& resp);
 
 class MonitorClient {
@@ -90,14 +86,8 @@ class MonitorClient {
   /// Render the CSV the paper's client produces.
   static std::string to_csv(const JobPowerData& data);
 
-  /// When true (default) the client opts into typed-telemetry responses:
-  /// samples arrive as structs and never round-trip through JSON. Off
-  /// forces the legacy JSON protocol — kept for the data-plane ablation.
-  void set_typed_protocol(bool on) noexcept { typed_protocol_ = on; }
-
  private:
   flux::Instance& instance_;
-  bool typed_protocol_ = true;
 };
 
 }  // namespace fluxpower::monitor

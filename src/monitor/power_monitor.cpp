@@ -1,7 +1,6 @@
 #include "monitor/power_monitor.hpp"
 
 #include <array>
-#include <limits>
 
 #include "flux/hostlist.hpp"
 #include "flux/instance.hpp"
@@ -24,16 +23,9 @@ constexpr std::array<double, 8> kSweepDurationBounds = {
 /// Nodes contributed per subtree merge: bounded by the cluster size.
 constexpr std::array<double, 11> kBatchNodesBounds = {
     1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024};
-/// Samples per upward delta batch: a steady-state delta is a handful of
-/// samples per node; a resync re-ships whole buffers.
-constexpr std::array<double, 9> kDeltaBatchBounds = {
-    1, 4, 16, 64, 256, 1024, 4096, 16384, 65536};
 
 /// Copy the in-window samples of a columnar store into `entry`, decimating
-/// uniformly when the requester bounded the transfer. Shared between the
-/// node-agent's own entry and the delta root's replica materialization so
-/// the two paths are arithmetic-identical — the byte-for-byte equivalence
-/// of delta and full aggregation rests on it.
+/// uniformly when the requester bounded the transfer.
 void fill_windowed_samples(const ColumnarSampleStore& store, double start,
                            double end, std::size_t max_samples,
                            TelemetryNodeEntry& entry) {
@@ -41,8 +33,13 @@ void fill_windowed_samples(const ColumnarSampleStore& store, double start,
   // found by binary search over the timestamp column — no full-buffer scan.
   const auto [lo, hi] = store.window_range(start, end);
   const std::size_t in_window = hi - lo;
-  if (max_samples > 1 && in_window > max_samples) {
+  if (max_samples > 0 && in_window > max_samples) {
     entry.decimated = true;
+    if (max_samples == 1) {
+      // One sample cannot bracket the window: keep the newest reading.
+      entry.samples.push_back(store.get(hi - 1));
+      return;
+    }
     const double stride = static_cast<double>(in_window - 1) /
                           static_cast<double>(max_samples - 1);
     std::size_t previous = static_cast<std::size_t>(-1);
@@ -60,61 +57,6 @@ void fill_windowed_samples(const ColumnarSampleStore& store, double start,
   }
 }
 
-using ReplicaMap = std::map<flux::Rank, TelemetryReplica>;
-
-/// Fold one delta entry into the requester's replica of the source ring:
-/// recreate on capacity change (the source was reconfigured — a resync),
-/// prune to the source's retained front, append strictly-newer samples.
-/// The timestamp filter makes the apply idempotent under duplicated or
-/// reordered responses.
-void apply_delta_entry(ReplicaMap& replicas, const TelemetryNodeEntry& e,
-                       obs::Counter* resyncs) {
-  TelemetryReplica& rep = replicas[e.rank];
-  const std::size_t cap = e.source_capacity > 0 ? e.source_capacity : 1;
-  if (rep.store == nullptr || rep.store->capacity() != cap) {
-    if (rep.store != nullptr) resyncs->inc();
-    rep.store = std::make_unique<ColumnarSampleStore>(cap);
-    rep.watermark_ts = kNoWatermark;
-  }
-  rep.hostname = e.hostname;
-  rep.source_empty = e.source_empty;
-  rep.front_ts_s = e.front_ts_s;
-  rep.source_evicted = e.source_evicted;
-  if (e.source_empty) {
-    // Source holds nothing (fresh buffer after a capacity change, or a
-    // rebooted node): mirror that exactly and restart the watermark.
-    rep.store->clear();
-    rep.watermark_ts = kNoWatermark;
-    return;
-  }
-  rep.store->prune_front(e.front_ts_s);
-  for (const hwsim::PowerSample& s : e.samples) {
-    if (s.timestamp_s > rep.watermark_ts) {
-      rep.store->push(s);
-      rep.watermark_ts = s.timestamp_s;
-    }
-  }
-}
-
-/// Materialize the final windowed per-node entry from a replica — the exact
-/// entry the source node-agent would have produced at its handle time, with
-/// completeness judged from the *source's* ledger (the replica's own
-/// eviction count says nothing about what the source flushed).
-TelemetryNodeEntry entry_from_replica(const TelemetryReplica& rep,
-                                      flux::Rank rank, double start,
-                                      double end, std::size_t max_samples) {
-  TelemetryNodeEntry entry;
-  fill_windowed_samples(*rep.store, start, end, max_samples, entry);
-  entry.complete = true;
-  if (rep.source_empty) {
-    entry.complete = false;
-  } else if (rep.source_evicted > 0 && rep.front_ts_s > start) {
-    entry.complete = false;
-  }
-  entry.hostname = rep.hostname;
-  entry.rank = rank;
-  return entry;
-}
 }  // namespace
 
 PowerMonitorModule::PowerMonitorModule(PowerMonitorConfig config)
@@ -125,9 +67,6 @@ PowerMonitorModule::~PowerMonitorModule() = default;
 void PowerMonitorModule::load(flux::Broker& broker) {
   broker_ = &broker;
   buffer_ = std::make_unique<ColumnarSampleStore>(config_.buffer_capacity);
-  // Fresh replica map: a module (re)load forgets every mirror, so the first
-  // delta query after a reload re-ships full buffers — a natural resync.
-  replicas_ = std::make_shared<ReplicaMap>();
 
   // Bind instruments in the broker registry. Counters are reset so a
   // reloaded module starts a fresh ledger — the semantics the plain
@@ -145,22 +84,12 @@ void PowerMonitorModule::load(flux::Broker& broker) {
   merge_bytes_total_ = &reg.counter(
       "fluxpower_monitor_merge_bytes_total",
       "Telemetry sample bytes shipped upward in subtree responses");
-  delta_resyncs_total_ = &reg.counter(
-      "fluxpower_monitor_delta_resyncs_total",
-      "Replica mirrors dropped or rebuilt, forcing a full re-ship");
   sweep_duration_ = &reg.histogram("fluxpower_monitor_sweep_duration_seconds",
                                    "CPU time stolen per sensor sweep",
                                    kSweepDurationBounds);
   subtree_batch_nodes_ = &reg.histogram(
       "fluxpower_monitor_subtree_batch_nodes",
       "Per-node entries in each merged subtree batch", kBatchNodesBounds);
-  delta_batch_samples_ = &reg.histogram(
-      "fluxpower_monitor_delta_batch_samples",
-      "Samples per upward delta batch (steady state: a handful per node)",
-      kDeltaBatchBounds);
-  delta_watermark_lag_ =
-      &reg.gauge("fluxpower_monitor_delta_watermark_lag_seconds",
-                 "Age of the oldest replica watermark at the last delta apply");
   tbon_level_ = &reg.gauge("fluxpower_monitor_tbon_level",
                            "This broker's depth in the TBON (root = 0)");
   buffer_fill_ratio_ = &reg.gauge("fluxpower_monitor_buffer_fill_ratio",
@@ -173,10 +102,8 @@ void PowerMonitorModule::load(flux::Broker& broker) {
   sensor_failures_total_->reset();
   subtree_merges_total_->reset();
   merge_bytes_total_->reset();
-  delta_resyncs_total_->reset();
   sweep_duration_->reset();
   subtree_batch_nodes_->reset();
-  delta_batch_samples_->reset();
   tbon_level_->set(
       static_cast<double>(broker.instance().tbon().level(broker.rank())));
   refresh_gauges();
@@ -237,19 +164,13 @@ void PowerMonitorModule::unload() {
   sensor_failures_total_ = nullptr;
   subtree_merges_total_ = nullptr;
   merge_bytes_total_ = nullptr;
-  delta_resyncs_total_ = nullptr;
   sweep_duration_ = nullptr;
   subtree_batch_nodes_ = nullptr;
-  delta_batch_samples_ = nullptr;
-  delta_watermark_lag_ = nullptr;
   tbon_level_ = nullptr;
   buffer_fill_ratio_ = nullptr;
   buffer_size_ = nullptr;
   buffer_evicted_ = nullptr;
   buffer_.reset();
-  // In-flight merge callbacks hold their own shared_ptr to the map; this
-  // only drops the module's reference.
-  replicas_.reset();
 }
 
 void PowerMonitorModule::refresh_gauges() {
@@ -320,41 +241,11 @@ TelemetryNodeEntry PowerMonitorModule::local_entry(const Json& window) {
   return entry;
 }
 
-TelemetryNodeEntry PowerMonitorModule::local_delta_entry(double since_ts) {
-  TelemetryNodeEntry entry;
-  entry.delta = true;
-  entry.rank = broker_->rank();
-  entry.hostname =
-      broker_->node() != nullptr ? broker_->node()->hostname() : "";
-  entry.source_empty = buffer_->empty();
-  entry.front_ts_s = buffer_->empty() ? 0.0 : buffer_->timestamp_at(0);
-  entry.source_evicted = buffer_->evicted();
-  entry.source_capacity = static_cast<std::uint32_t>(buffer_->capacity());
-  if (!buffer_->empty()) {
-    // Every retained sample strictly newer than the watermark — not
-    // window-filtered: the delta keeps the requester's mirror exact so the
-    // window (and any decimation) can be applied there.
-    auto [lo, hi] = buffer_->window_range(
-        since_ts, std::numeric_limits<double>::infinity());
-    while (lo < hi && buffer_->timestamp_at(lo) <= since_ts) ++lo;
-    entry.samples.reserve(hi - lo);
-    for (std::size_t i = lo; i < hi; ++i) {
-      entry.samples.push_back(buffer_->get(i));
-    }
-  }
-  return entry;
-}
-
 void PowerMonitorModule::handle_get_data(const Message& req) {
   auto batch = std::make_shared<TelemetryBatch>();
   batch->single_entry = true;
   batch->nodes.push_back(local_entry(req.payload));
-  if (flux::wants_typed_telemetry(req)) {
-    broker_->respond_telemetry(req, Json::object(), std::move(batch));
-  } else {
-    // JSON edge: requester speaks the legacy protocol.
-    broker_->respond(req, flux::render_telemetry_entry(batch->nodes.front()));
-  }
+  broker_->respond_telemetry(req, Json::object(), std::move(batch));
 }
 
 std::string PowerMonitorModule::metrics_text() const {
@@ -417,26 +308,9 @@ void PowerMonitorModule::handle_get_subtree(const Message& req) {
   // TBON tree reduction: contribute the local window, recurse into the
   // children whose subtrees hold requested ranks, and answer upward with
   // the merged per-node entries. Every broker's fan-in is bounded by the
-  // tree fanout regardless of job size. Hop-to-hop the merge is typed:
-  // child batches arrive by pointer and entries are concatenated without
-  // touching JSON; only the reply to a legacy (non-typed) requester is
-  // rendered.
-  //
-  // Aggregation protocol is request-driven on interior hops and
-  // config-driven at the query root:
-  //  * a request carrying "since" (rank -> watermark timestamp) is a delta
-  //    hop: contribute a handle-time delta snapshot of the local buffer,
-  //    forward each child its subset of the watermarks, and pass child
-  //    entries through untouched;
-  //  * a request without "since" at a broker with delta aggregation on
-  //    makes this broker the *delta root*: it issues watermarks from its
-  //    replica mirrors, folds the returning deltas into them, and
-  //    materializes the final windowed entries — byte-identical to the
-  //    full re-merge because a replica equals the source buffer at its
-  //    handle time;
-  //  * otherwise: classic full re-merge (the ablation and the fallback).
-  // The RPC pattern (one request + one response per child per query) is the
-  // same in all three shapes, so fault-injection schedules do not shift.
+  // tree fanout regardless of job size. The merge is typed and stateless:
+  // child batches arrive by pointer, their entries are concatenated without
+  // touching JSON, and nothing outlives the query.
   const flux::Tbon& tbon = broker_->instance().tbon();
   std::vector<flux::Rank> wanted;
   if (req.payload.contains("ranks")) {
@@ -447,8 +321,6 @@ void PowerMonitorModule::handle_get_subtree(const Message& req) {
   auto wants = [&wanted](flux::Rank r) {
     return std::find(wanted.begin(), wanted.end(), r) != wanted.end();
   };
-  const bool delta_hop = req.payload.contains("since");
-  const bool delta_root = !delta_hop && config_.delta_aggregation;
 
   struct Pending {
     TelemetryBatch batch;
@@ -458,19 +330,7 @@ void PowerMonitorModule::handle_get_subtree(const Message& req) {
   auto pending = std::make_shared<Pending>();
   pending->original = req;
   if (wants(broker_->rank())) {
-    if (delta_hop) {
-      double since = kNoWatermark;
-      const Json& in = req.payload.at("since");
-      if (const std::string key = std::to_string(broker_->rank());
-          in.contains(key)) {
-        since = in.at(key).as_double();
-      }
-      pending->batch.nodes.push_back(local_delta_entry(since));
-    } else {
-      // Full mode and delta root alike: the local entry is built in final
-      // form at handle time — there is no upward hop to save bytes on.
-      pending->batch.nodes.push_back(local_entry(req.payload));
-    }
+    pending->batch.nodes.push_back(local_entry(req.payload));
   }
 
   // Partition the remaining wanted ranks among child subtrees.
@@ -496,21 +356,18 @@ void PowerMonitorModule::handle_get_subtree(const Message& req) {
   obs::Counter* merges = subtree_merges_total_;
   obs::Histogram* batch_nodes = subtree_batch_nodes_;
   obs::Counter* merge_bytes = merge_bytes_total_;
-  obs::Histogram* delta_batch = delta_batch_samples_;
-  auto respond_merged = [broker, requested, merges, batch_nodes, merge_bytes,
-                         delta_batch, delta_hop](Pending& p) {
+  auto respond_merged = [broker, requested, merges, batch_nodes,
+                         merge_bytes](Pending& p) {
     merges->inc();
     batch_nodes->observe(static_cast<double>(p.batch.nodes.size()));
-    // Payload accounting: samples shipped in this upward response. Counted
-    // in every mode so full-vs-delta byte savings read directly off the
-    // registry (the typed batch travels by pointer; this is the hop's
-    // logical wire weight).
+    // Payload accounting: samples shipped in this upward response (the
+    // typed batch travels by pointer; this is the hop's logical wire
+    // weight).
     std::size_t shipped = 0;
     for (const TelemetryNodeEntry& n : p.batch.nodes) {
       shipped += n.samples.size();
     }
     merge_bytes->inc(shipped * sizeof(hwsim::PowerSample));
-    if (delta_hop) delta_batch->observe(static_cast<double>(shipped));
     if (obs::TraceSink& tr = obs::process_trace(); tr.enabled()) {
       tr.instant(broker->sim().now(), "subtree-merge", "monitor",
                  broker->rank(), "nodes",
@@ -526,13 +383,9 @@ void PowerMonitorModule::handle_get_subtree(const Message& req) {
     Json meta = Json::object();
     meta["requested"] = static_cast<std::int64_t>(requested);
     meta["responding"] = static_cast<std::int64_t>(responding);
-    auto batch = std::make_shared<TelemetryBatch>(std::move(p.batch));
-    if (flux::wants_typed_telemetry(p.original)) {
-      broker->respond_telemetry(p.original, std::move(meta), std::move(batch));
-    } else {
-      broker->respond(p.original,
-                      flux::render_telemetry_payload(meta, *batch));
-    }
+    broker->respond_telemetry(
+        p.original, std::move(meta),
+        std::make_shared<TelemetryBatch>(std::move(p.batch)));
   };
 
   if (child_requests.empty()) {
@@ -540,13 +393,10 @@ void PowerMonitorModule::handle_get_subtree(const Message& req) {
     return;
   }
 
-  // Window parameters as the children will see them — the delta root
-  // materializes replica entries against these exact values, matching what
-  // each node-agent would have windowed itself in full mode.
+  // Children window against the values resolved here, so every node of
+  // the subtree answers for the same interval.
   const double win_start = req.payload.number_or("start", 0.0);
   const double win_end = req.payload.number_or("end", broker->sim().now());
-  const auto win_max =
-      static_cast<std::size_t>(req.payload.int_or("max_samples", 0));
 
   pending->outstanding = child_requests.size();
   for (ChildRequest& cr : child_requests) {
@@ -559,103 +409,15 @@ void PowerMonitorModule::handle_get_subtree(const Message& req) {
     Json ranks = Json::array();
     for (flux::Rank r : cr.subset) ranks.push_back(r);
     sub["ranks"] = std::move(ranks);
-    if (delta_hop || delta_root) {
-      // Per-rank watermarks for this child's subset. An interior hop
-      // forwards the root's values verbatim (so returning deltas are
-      // already relative to the root's mirrors and pass through unmerged);
-      // the root issues them from its replicas. A rank with no mirror has
-      // no key — the source ships everything it retains.
-      Json since = Json::object();
-      if (delta_hop) {
-        const Json& in = req.payload.at("since");
-        for (flux::Rank r : cr.subset) {
-          if (const std::string key = std::to_string(r); in.contains(key)) {
-            since[key] = in.at(key).as_double();
-          }
-        }
-      } else {
-        for (flux::Rank r : cr.subset) {
-          const auto it = replicas_->find(r);
-          if (it != replicas_->end() && it->second.store != nullptr &&
-              it->second.watermark_ts > kNoWatermark) {
-            since[std::to_string(r)] = it->second.watermark_ts;
-          }
-        }
-      }
-      sub["since"] = std::move(since);
-    }
-    // Internal hop: always ask the child for the typed batch.
-    flux::request_typed_telemetry(sub);
 
-    const std::vector<flux::Rank> subset = cr.subset;
-    if (!delta_root) {
-      // Full re-merge and interior delta hops share one shape: child
-      // entries are concatenated verbatim (full entries are final; delta
-      // entries are relative to the root's watermarks already).
-      broker->rpc(
-          cr.child, kGetSubtreeTopic, std::move(sub),
-          [pending, subset, respond_merged](const Message& resp) {
-            if (resp.is_error()) {
-              // A whole subtree went dark: emit partial entries for each of
-              // its requested ranks so aggregation degrades, not fails.
-              for (flux::Rank r : subset) {
-                TelemetryNodeEntry entry;
-                entry.rank = r;
-                entry.complete = false;
-                entry.errored = true;
-                entry.error = resp.error_text;
-                pending->batch.nodes.push_back(std::move(entry));
-              }
-            } else if (resp.telemetry) {
-              for (const TelemetryNodeEntry& n : resp.telemetry->nodes) {
-                pending->batch.nodes.push_back(n);
-              }
-            } else {
-              // Legacy child speaking JSON: parse back to typed here.
-              for (const Json& n : resp.payload.at("nodes").as_array()) {
-                pending->batch.nodes.push_back(flux::parse_telemetry_entry(n));
-              }
-            }
-            if (--pending->outstanding == 0) respond_merged(*pending);
-          },
-          /*timeout_s=*/10.0);
-      continue;
-    }
-
-    // Delta root: fold returning deltas into the replica mirrors and
-    // materialize final entries. The replica shared_ptr and registry
-    // instruments outlive the module, so a late response stays safe.
-    std::shared_ptr<ReplicaMap> replicas = replicas_;
-    obs::Counter* resyncs = delta_resyncs_total_;
-    obs::Gauge* lag = delta_watermark_lag_;
     broker->rpc(
         cr.child, kGetSubtreeTopic, std::move(sub),
-        [pending, subset, respond_merged, replicas, resyncs, lag, broker,
-         win_start, win_end, win_max](const Message& resp) {
-          auto fold = [&](const TelemetryNodeEntry& n) {
-            if (n.errored || !n.delta) {
-              // Errored placeholder from a dark subtree, or a legacy child
-              // speaking the full protocol: pass the entry through verbatim
-              // and drop the mirror — the next query resyncs from scratch.
-              if (replicas->erase(n.rank) > 0) resyncs->inc();
-              pending->batch.nodes.push_back(n);
-              return;
-            }
-            apply_delta_entry(*replicas, n, resyncs);
-            const TelemetryReplica& rep = replicas->at(n.rank);
-            if (rep.watermark_ts > kNoWatermark) {
-              lag->set(broker->sim().now() - rep.watermark_ts);
-            }
-            // Materialize immediately: the replica mirrors the source at
-            // *this* query's handle time right now; deferring to the final
-            // serve would let an overlapping (duplicated) query advance the
-            // mirror underneath this one.
-            pending->batch.nodes.push_back(
-                entry_from_replica(rep, n.rank, win_start, win_end, win_max));
-          };
+        [pending, subset = std::move(cr.subset),
+         respond_merged](const Message& resp) {
           if (resp.is_error()) {
+            // A whole subtree went dark: emit partial entries for each of
+            // its requested ranks so aggregation degrades, not fails.
             for (flux::Rank r : subset) {
-              if (replicas->erase(r) > 0) resyncs->inc();
               TelemetryNodeEntry entry;
               entry.rank = r;
               entry.complete = false;
@@ -663,11 +425,9 @@ void PowerMonitorModule::handle_get_subtree(const Message& req) {
               entry.error = resp.error_text;
               pending->batch.nodes.push_back(std::move(entry));
             }
-          } else if (resp.telemetry) {
-            for (const TelemetryNodeEntry& n : resp.telemetry->nodes) fold(n);
           } else {
-            for (const Json& n : resp.payload.at("nodes").as_array()) {
-              fold(flux::parse_telemetry_entry(n));
+            for (const TelemetryNodeEntry& n : resp.telemetry->nodes) {
+              pending->batch.nodes.push_back(n);
             }
           }
           if (--pending->outstanding == 0) respond_merged(*pending);
@@ -791,7 +551,6 @@ void PowerMonitorModule::archive_job(flux::JobId id, flux::UserId userid) {
   broker->sim().schedule_after(config_.sample_period_s, [broker, id, userid] {
     util::Json payload = util::Json::object();
     payload["id"] = id;
-    flux::request_typed_telemetry(payload);
     broker->rpc(
         flux::kRootRank, kQueryJobTopic, std::move(payload),
         [broker, id, userid](const Message& resp) {
@@ -841,8 +600,7 @@ void PowerMonitorModule::handle_query_job(const Message& req) {
   // Resolve the job, then gather from the node-agents of its ranks —
   // through the TBON tree reduction by default, or by direct root fan-out
   // when tree aggregation is disabled. All communication is message-based,
-  // even root-local lookups. The gather itself is always typed; the final
-  // response is rendered to JSON only for legacy requesters.
+  // even root-local lookups. The gather and the answer are typed batches.
   flux::Broker* broker = broker_;
   const bool tree_aggregation = config_.tree_aggregation;
   const Message original = req;
@@ -874,17 +632,6 @@ void PowerMonitorModule::handle_query_job(const Message& req) {
         meta["t_start"] = t_start;
         meta["t_end"] = t_end;
 
-        auto respond_with = [broker](const Message& request, Json request_meta,
-                                     std::shared_ptr<const TelemetryBatch> b) {
-          if (flux::wants_typed_telemetry(request)) {
-            broker->respond_telemetry(request, std::move(request_meta),
-                                      std::move(b));
-          } else {
-            broker->respond(request,
-                            flux::render_telemetry_payload(request_meta, *b));
-          }
-        };
-
         Json window = Json::object();
         window["start"] = t_start;
         window["end"] = t_end;
@@ -892,26 +639,16 @@ void PowerMonitorModule::handle_query_job(const Message& req) {
         if (tree_aggregation) {
           // One request into the tree; brokers merge their subtrees.
           window["ranks"] = ranks;
-          flux::request_typed_telemetry(window);
           broker->rpc(
               flux::kRootRank, kGetSubtreeTopic, std::move(window),
-              [broker, original, meta = std::move(meta),
-               respond_with](const Message& resp) {
+              [broker, original, meta = std::move(meta)](const Message& resp) {
                 if (resp.is_error()) {
                   broker->respond_error(original, resp.errnum,
                                         resp.error_text);
                   return;
                 }
-                if (resp.telemetry) {
-                  // Re-share the merged batch: zero copies at the root.
-                  respond_with(original, meta, resp.telemetry);
-                  return;
-                }
-                auto batch = std::make_shared<TelemetryBatch>();
-                for (const Json& n : resp.payload.at("nodes").as_array()) {
-                  batch->nodes.push_back(flux::parse_telemetry_entry(n));
-                }
-                respond_with(original, meta, std::move(batch));
+                // Re-share the merged batch: zero copies at the root.
+                broker->respond_telemetry(original, meta, resp.telemetry);
               },
               /*timeout_s=*/15.0);
           return;
@@ -927,12 +664,11 @@ void PowerMonitorModule::handle_query_job(const Message& req) {
         pending->meta = std::move(meta);
         pending->outstanding = ranks.size();
 
-        flux::request_typed_telemetry(window);
         for (const Json& r : ranks) {
           const auto rank = static_cast<flux::Rank>(r.as_int());
           broker->rpc(
               rank, kGetDataTopic, window,
-              [original, pending, rank, respond_with](const Message& resp) {
+              [broker, original, pending, rank](const Message& resp) {
                 if (resp.is_error()) {
                   // Fault-tolerant aggregation: a dead or unloaded
                   // node-agent yields an empty *partial* per-node entry
@@ -944,15 +680,11 @@ void PowerMonitorModule::handle_query_job(const Message& req) {
                   entry.errored = true;
                   entry.error = resp.error_text;
                   pending->batch.nodes.push_back(std::move(entry));
-                } else if (resp.telemetry &&
-                           !resp.telemetry->nodes.empty()) {
-                  pending->batch.nodes.push_back(resp.telemetry->nodes.front());
                 } else {
-                  pending->batch.nodes.push_back(
-                      flux::parse_telemetry_entry(resp.payload));
+                  pending->batch.nodes.push_back(resp.telemetry->nodes.front());
                 }
                 if (--pending->outstanding == 0) {
-                  respond_with(
+                  broker->respond_telemetry(
                       original, std::move(pending->meta),
                       std::make_shared<TelemetryBatch>(std::move(pending->batch)));
                 }

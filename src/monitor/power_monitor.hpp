@@ -17,10 +17,10 @@
 // so window lookups are binary searches and stats/percentile sweeps run
 // unit-stride. Samples materialize back to `hwsim::PowerSample` at the
 // accessor boundary, and the TBON subtree merge ships typed batches by
-// pointer. JSON is rendered only at the edges: for requesters that did not
-// opt into the typed protocol, for the live sample stream, and at the
-// codec/wire boundary. The edge JSON is byte-identical to the old
-// JSON-everywhere data plane (see DESIGN.md, "Telemetry data plane").
+// pointer. Every telemetry answer is a typed batch; JSON is rendered only
+// at the edges: for the live sample stream and at the codec/wire boundary.
+// The edge JSON is byte-identical to the old JSON-everywhere data plane
+// (see DESIGN.md, "Telemetry data plane").
 //
 // Every sensor read costs `sample_cost_s` of CPU on the node, deposited as
 // stolen time — the physical source of the monitor's 0.04–1.2% measured
@@ -28,9 +28,7 @@
 // reads on AMD, hence per-platform defaults.
 #pragma once
 
-#include <map>
 #include <memory>
-#include <optional>
 
 #include "flux/broker.hpp"
 #include "flux/jobspec.hpp"
@@ -63,25 +61,13 @@ struct PowerMonitorConfig {
   /// fan-in by the tree fanout — the scalability property the paper's
   /// overlay design provides. Off = direct fan-out (kept for the ablation).
   bool tree_aggregation = true;
-  /// Incremental subtree aggregation: internal hops exchange per-rank
-  /// *deltas* against the requester's watermarks instead of re-shipping the
-  /// whole window each query; every broker mirrors its descendants' buffers
-  /// in columnar replicas and full content is materialized only at the
-  /// final (client-facing) serve. The RPC pattern — one request and one
-  /// response per child per query — is unchanged, so fault schedules and
-  /// merged results are identical to full re-merge; only steady-state bytes
-  /// per hop shrink. A child RPC error or quarantined subtree drops the
-  /// affected replicas, forcing a full resync on the next query (the
-  /// faultsim degradation semantics). Off = classic full re-merge.
-  bool delta_aggregation = true;
   static PowerMonitorConfig for_lassen() {
     return {.sample_period_s = 2.0,
             .buffer_capacity = 100000,
             .sample_cost_s = 0.008,
             .archive_jobs = true,
             .stream_samples = false,
-            .tree_aggregation = true,
-            .delta_aggregation = true};
+            .tree_aggregation = true};
   }
   static PowerMonitorConfig for_tioga() {
     return {.sample_period_s = 2.0,
@@ -89,8 +75,7 @@ struct PowerMonitorConfig {
             .sample_cost_s = 0.0008,
             .archive_jobs = true,
             .stream_samples = false,
-            .tree_aggregation = true,
-            .delta_aggregation = true};
+            .tree_aggregation = true};
   }
 };
 
@@ -104,25 +89,6 @@ inline constexpr const char* kSetConfigTopic = "power-monitor.set-config";
 /// registry merged with its TBON subtree's. Ask the root for the whole
 /// cluster; the aggregate equals the per-node registry sums exactly.
 inline constexpr const char* kMetricsTopic = "power.metrics";
-
-/// Sentinel watermark meaning "no samples mirrored yet — ship everything".
-/// Any real simulation timestamp is greater.
-inline constexpr double kNoWatermark = -1.0e300;
-
-/// Columnar mirror of one descendant node-agent's ring, maintained by the
-/// broker that roots delta-aggregated queries. `prune_front` to the source's
-/// oldest retained timestamp plus appending the shipped delta keeps the
-/// retained-sample set bit-identical to the source at its request-handle
-/// time; the source's own lifetime ledger travels in the meta fields (the
-/// replica's internal eviction count is meaningless for completeness).
-struct TelemetryReplica {
-  std::unique_ptr<ColumnarSampleStore> store;
-  double watermark_ts = kNoWatermark;  ///< newest mirrored timestamp
-  std::string hostname;
-  bool source_empty = true;
-  double front_ts_s = 0.0;
-  std::uint64_t source_evicted = 0;
-};
 
 class PowerMonitorModule final : public flux::Module {
  public:
@@ -157,11 +123,6 @@ class PowerMonitorModule final : public flux::Module {
   // -- Twin-codec introspection ---------------------------------------------
   /// The node-agent's columnar sample ring (null before load()).
   const ColumnarSampleStore* store() const noexcept { return buffer_.get(); }
-  /// Delta-aggregation replica mirrors + watermarks (null before load();
-  /// empty at brokers that never rooted a delta query).
-  const std::map<flux::Rank, TelemetryReplica>* replica_map() const noexcept {
-    return replicas_.get();
-  }
 
  private:
   void take_sample();
@@ -171,13 +132,6 @@ class PowerMonitorModule final : public flux::Module {
   void handle_metrics(const flux::Message& req);
   /// Build this rank's own per-node entry for a window request.
   flux::TelemetryNodeEntry local_entry(const util::Json& window);
-  /// Build this rank's own *delta* entry: every retained sample strictly
-  /// newer than the requester's watermark, plus the source-buffer meta that
-  /// lets the requester maintain an exact replica. Snapshotted at
-  /// request-handle time — samples taken while child RPCs are in flight
-  /// must not leak into this query's contribution, or the merged payload
-  /// would diverge from the full re-merge it must match byte-for-byte.
-  flux::TelemetryNodeEntry local_delta_entry(double since_ts);
   void handle_status(const flux::Message& req);
   void handle_set_config(const flux::Message& req);
   void archive_job(flux::JobId id, flux::UserId userid);
@@ -188,12 +142,6 @@ class PowerMonitorModule final : public flux::Module {
   PowerMonitorConfig config_;
   flux::Broker* broker_ = nullptr;
   std::unique_ptr<ColumnarSampleStore> buffer_;
-  /// Descendant-buffer mirrors keyed by rank, populated only at brokers
-  /// that *root* delta-aggregated queries (interior hops pass deltas
-  /// through untouched). Held by shared_ptr so in-flight merge callbacks
-  /// stay safe across an unload; reset in load() — a module reload is a
-  /// natural full resync.
-  std::shared_ptr<std::map<flux::Rank, TelemetryReplica>> replicas_;
   std::unique_ptr<sim::PeriodicTask> sampler_;
   // Instruments in the owning broker's registry (bound in load(), reset
   // there too so a reloaded module starts a fresh ledger like the plain
@@ -202,11 +150,8 @@ class PowerMonitorModule final : public flux::Module {
   obs::Counter* sensor_failures_total_ = nullptr;
   obs::Counter* subtree_merges_total_ = nullptr;
   obs::Counter* merge_bytes_total_ = nullptr;
-  obs::Counter* delta_resyncs_total_ = nullptr;
   obs::Histogram* sweep_duration_ = nullptr;
   obs::Histogram* subtree_batch_nodes_ = nullptr;
-  obs::Histogram* delta_batch_samples_ = nullptr;
-  obs::Gauge* delta_watermark_lag_ = nullptr;
   obs::Gauge* tbon_level_ = nullptr;
   obs::Gauge* buffer_fill_ratio_ = nullptr;
   obs::Gauge* buffer_size_ = nullptr;

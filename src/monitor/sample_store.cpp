@@ -15,8 +15,8 @@ ColumnarSampleStore::ColumnarSampleStore(std::size_t capacity)
 
 std::uint32_t ColumnarSampleStore::intern_hostname(
     const hwsim::FixedHostname& h) {
-  // A node-agent's hostname never changes and a replica mirrors one node,
-  // so the table is one or two entries deep; linear search wins.
+  // A node-agent's hostname never changes, so the table is one entry deep;
+  // linear search wins.
   for (std::size_t i = 0; i < host_table_.size(); ++i) {
     if (host_table_[i] == h) return static_cast<std::uint32_t>(i);
   }
@@ -201,35 +201,6 @@ void ColumnarSampleStore::copy_best_w(std::size_t lo, std::size_t hi,
     std::memcpy(out.data() + seg.first.size(), seg.second.data(),
                 seg.second.size() * sizeof(double));
   }
-}
-
-void ColumnarSampleStore::prune_front(double min_ts_s) {
-  // The dropped prefix is contiguous in logical order; find its length by
-  // binary search and advance the head past it.
-  const double* ts = column(kTimestamp);
-  std::size_t a = 0, b = size_;
-  while (a < b) {
-    const std::size_t mid = a + (b - a) / 2;
-    if (ts[phys(mid)] < min_ts_s) {
-      a = mid + 1;
-    } else {
-      b = mid;
-    }
-  }
-  if (a == 0) return;
-  head_ = phys(a);
-  size_ -= a;
-  if (size_ == 0) head_ = 0;
-}
-
-void ColumnarSampleStore::clear() noexcept {
-  // The blocks stay allocated for the refill, as a cleared vector keeps
-  // its capacity.
-  head_ = 0;
-  size_ = 0;
-  len_ = 0;
-  host_table_.clear();
-  // total_pushed_ deliberately retained (see header).
 }
 
 bool ColumnarSampleStore::check_integrity() const noexcept {

@@ -22,15 +22,9 @@
 // cpu/gpu sensor counts, an index into a tiny interned hostname table (a
 // node-agent's hostname never changes, so the table holds one entry) and
 // the presence and fault flags as bits of one byte. Both blocks grow as a
-// whole by doubling, up to capacity, so an idle replica costs nothing and
+// whole by doubling, up to capacity, so an empty store costs nothing and
 // neither block outgrows twice the most slots the store has held: per
 // slot, 8 bytes per column plus 8 of metadata.
-//
-// The same class backs the TBON delta-aggregation replicas: a broker
-// mirrors each descendant's buffer by appending delta batches and pruning
-// the front to the child's reported oldest-retained timestamp
-// (`prune_front`), which keeps the mirror exact across evictions, crash
-// reboots and set-config buffer swaps.
 #pragma once
 
 #include <cstddef>
@@ -55,9 +49,9 @@ class ColumnarSampleStore {
   bool empty() const noexcept { return size_ == 0; }
   bool full() const noexcept { return size_ == capacity_; }
 
-  /// Total number of push() calls over the store's lifetime; evicted() is
-  /// everything pushed that is no longer retained (ring overwrites and
-  /// prune_front drops alike).
+  /// Total number of push() calls over the store's lifetime (plus any
+  /// inherited ones); evicted() is everything pushed that is no longer
+  /// retained.
   std::uint64_t total_pushed() const noexcept { return total_pushed_; }
   std::uint64_t evicted() const noexcept { return total_pushed_ - size_; }
 
@@ -96,15 +90,6 @@ class ColumnarSampleStore {
   /// (resized to hi-lo): two bulk copies instead of size() strided loads.
   void copy_best_w(std::size_t lo, std::size_t hi,
                    std::vector<double>& out) const;
-
-  /// Drop retained samples from the front while their timestamp is older
-  /// than `min_ts_s`. Used by delta-aggregation replicas to mirror the
-  /// child's evictions; dropped samples count as evicted.
-  void prune_front(double min_ts_s);
-
-  /// Discard retained samples. total_pushed is deliberately retained so
-  /// eviction accounting covers the whole lifetime (RingBuffer semantics).
-  void clear() noexcept;
 
   /// Credit pushes that happened before this store existed (buffer swap on
   /// reconfiguration); see RingBuffer::inherit_lifetime.

@@ -162,22 +162,6 @@ void encode_mon(ByteWriter& w, experiments::Scenario& sc) {
     const monitor::ColumnarSampleStore* store = mod->store();
     w.boolean(store != nullptr);
     if (store != nullptr) put_store(w, *store);
-    // Delta-aggregation replica mirrors: watermark meta + mirrored content.
-    // std::map keys by rank, so iteration order is canonical.
-    const auto* replicas = mod->replica_map();
-    w.boolean(replicas != nullptr);
-    if (replicas == nullptr) continue;
-    w.u32(static_cast<std::uint32_t>(replicas->size()));
-    for (const auto& [src_rank, replica] : *replicas) {
-      w.u32(static_cast<std::uint32_t>(src_rank));
-      w.f64(replica.watermark_ts);
-      w.str(replica.hostname);
-      w.boolean(replica.source_empty);
-      w.f64(replica.front_ts_s);
-      w.u64(replica.source_evicted);
-      w.boolean(replica.store != nullptr);
-      if (replica.store != nullptr) put_store(w, *replica.store);
-    }
   }
 }
 

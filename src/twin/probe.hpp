@@ -1,7 +1,7 @@
 // probe.hpp — deterministic serialization of a live scenario's state.
 //
 // The probe walks every layer of a running Scenario — event engine, node
-// hardware, broker plane, job ledger, monitor rings and replicas, manager
+// hardware, broker plane, job ledger, monitor rings, manager
 // control state, fault plane substreams, scenario bookkeeping — and encodes
 // each into its own framed, versioned, digested section. Two process states
 // that produce identical StateImages are observably equivalent: every

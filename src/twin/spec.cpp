@@ -32,7 +32,6 @@ void encode_monitor(ByteWriter& w, const monitor::PowerMonitorConfig& m) {
   w.boolean(m.archive_jobs);
   w.boolean(m.stream_samples);
   w.boolean(m.tree_aggregation);
-  w.boolean(m.delta_aggregation);
 }
 
 monitor::PowerMonitorConfig decode_monitor(ByteReader& r) {
@@ -43,7 +42,6 @@ monitor::PowerMonitorConfig decode_monitor(ByteReader& r) {
   m.archive_jobs = r.boolean();
   m.stream_samples = r.boolean();
   m.tree_aggregation = r.boolean();
-  m.delta_aggregation = r.boolean();
   return m;
 }
 

@@ -24,7 +24,7 @@ namespace fluxpower::twin {
 
 /// Current TwinSpec wire version; decode() rejects every other one. Bump on
 /// any field addition or removal.
-inline constexpr std::uint32_t kSpecVersion = 4;
+inline constexpr std::uint32_t kSpecVersion = 5;
 
 struct TwinSpec {
   experiments::ScenarioConfig scenario;

@@ -1,6 +1,6 @@
 // Regression tests for the columnar (SoA) sample store: it must reproduce
 // util::RingBuffer<PowerSample> semantics exactly — element-for-element,
-// across wraparound, clears, prunes, late widening and lifetime inheritance —
+// across wraparound, late widening and lifetime inheritance —
 // and its columns must never desynchronize from the per-slot metadata
 // (check_integrity).
 #include <gtest/gtest.h>
@@ -101,21 +101,6 @@ void expect_same_contents(const ColumnarSampleStore& store,
   expect_same_sample(store.back(), reference.back());
 }
 
-/// RingBuffer has no prune_front: rebuild it from the samples at or after
-/// `min_ts_s`, crediting the dropped ones to its lifetime as evicted.
-util::RingBuffer<PowerSample> pruned(
-    const util::RingBuffer<PowerSample>& reference, double min_ts_s) {
-  std::size_t first = 0;
-  while (first < reference.size() &&
-         reference[first].timestamp_s < min_ts_s) {
-    ++first;
-  }
-  util::RingBuffer<PowerSample> out(reference.capacity());
-  out.inherit_lifetime(reference.total_pushed() - (reference.size() - first));
-  for (std::size_t i = first; i < reference.size(); ++i) out.push(reference[i]);
-  return out;
-}
-
 TEST(ColumnarStore, MatchesRingBufferAcrossWraparound) {
   for (const std::size_t capacity : {std::size_t{1}, std::size_t{7},
                                      std::size_t{64}, std::size_t{100}}) {
@@ -131,7 +116,7 @@ TEST(ColumnarStore, MatchesRingBufferAcrossWraparound) {
 
   // Late widening: Lassen-width samples past the first wrap, then one with
   // every socket and GPU (the store re-lays out with its ring wrapped),
-  // then narrow samples again around a prune_front.
+  // then narrow samples again.
   ColumnarSampleStore store(8);
   util::RingBuffer<PowerSample> reference(8);
   SampleGen gen(11);
@@ -142,12 +127,6 @@ TEST(ColumnarStore, MatchesRingBufferAcrossWraparound) {
   for (int i = 0; i < 3; ++i) {
     ASSERT_NO_FATAL_FAILURE(push_both(store, reference, gen.sample(2, 4)));
   }
-  expect_same_contents(store, reference);
-  const double cut = reference[3].timestamp_s;
-  store.prune_front(cut);
-  reference = pruned(reference, cut);
-  ASSERT_EQ(store.evicted(), reference.evicted());
-  ASSERT_TRUE(store.check_integrity());
   expect_same_contents(store, reference);
   for (int i = 0; i < 12; ++i) {
     ASSERT_NO_FATAL_FAILURE(push_both(store, reference, gen.sample(2, 4)));
@@ -162,28 +141,20 @@ TEST(ColumnarStore, LedgerIdentityAcrossClearAndInherit) {
   EXPECT_EQ(store.total_pushed(), 20u);
   EXPECT_EQ(store.evicted(), 12u);
 
-  // clear() retains the lifetime total: everything counts as evicted.
-  store.clear();
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_EQ(store.total_pushed(), 20u);
-  EXPECT_EQ(store.evicted(), 20u);
-  EXPECT_TRUE(store.check_integrity());
-
-  // A replacement store inherits the predecessor's lifetime, exactly like
-  // RingBuffer::inherit_lifetime on a set-config buffer swap.
+  // A set-config buffer swap clears the retained samples: the replacement
+  // store inherits the predecessor's lifetime, exactly like
+  // RingBuffer::inherit_lifetime, so every sample it never held counts as
+  // evicted.
   ColumnarSampleStore replacement(4);
   replacement.inherit_lifetime(store.total_pushed());
+  EXPECT_EQ(replacement.size(), 0u);
+  EXPECT_EQ(replacement.evicted(), 20u);
+  EXPECT_TRUE(replacement.check_integrity());
   for (int i = 0; i < 6; ++i) replacement.push(gen.sample());
   EXPECT_EQ(replacement.total_pushed(), 26u);
   EXPECT_EQ(replacement.size(), 4u);
   EXPECT_EQ(replacement.evicted(), 22u);
   EXPECT_TRUE(replacement.check_integrity());
-
-  // Pushing after a clear reuses the physical slots and stays coherent.
-  store.push(gen.sample());
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_EQ(store.total_pushed(), 21u);
-  EXPECT_TRUE(store.check_integrity());
 }
 
 TEST(ColumnarStore, WindowRangeMatchesLinearScan) {
@@ -220,38 +191,6 @@ TEST(ColumnarStore, WindowRangeMatchesLinearScan) {
       EXPECT_EQ(copied[k], reference[lo + k].best_node_w());
     }
   }
-}
-
-TEST(ColumnarStore, PruneFrontMirrorsEviction) {
-  ColumnarSampleStore store(16);
-  SampleGen gen(3);
-  std::vector<PowerSample> pushed;
-  for (int i = 0; i < 16; ++i) {
-    pushed.push_back(gen.sample());
-    store.push(pushed.back());
-  }
-  // Prune everything older than the 5th retained timestamp.
-  const double cut = pushed[5].timestamp_s;
-  store.prune_front(cut);
-  ASSERT_EQ(store.size(), 11u);
-  EXPECT_EQ(store.total_pushed(), 16u);
-  EXPECT_EQ(store.evicted(), 5u);
-  EXPECT_TRUE(store.check_integrity());
-  for (std::size_t i = 0; i < store.size(); ++i) {
-    expect_same_sample(store.get(i), pushed[i + 5]);
-  }
-  // Pushing after a prune reuses the freed slots and wraps correctly.
-  for (int i = 0; i < 24; ++i) store.push(gen.sample());
-  EXPECT_EQ(store.size(), 16u);
-  EXPECT_TRUE(store.check_integrity());
-
-  // Pruning past the end empties the store without head residue.
-  store.prune_front(1e18);
-  EXPECT_TRUE(store.empty());
-  EXPECT_TRUE(store.check_integrity());
-  store.push(gen.sample());
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_TRUE(store.check_integrity());
 }
 
 TEST(ColumnarStore, ZeroCapacityThrows) {

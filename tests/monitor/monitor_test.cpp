@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include "apps/launcher.hpp"
+#include "flux/codec.hpp"
 #include "flux/instance.hpp"
+#include "flux/telemetry.hpp"
 #include "hwsim/cluster.hpp"
 #include "monitor/client.hpp"
 #include "util/csv.hpp"
+#include "variorum/variorum.hpp"
 
 namespace fluxpower::monitor {
 namespace {
@@ -31,6 +34,39 @@ class MonitorTest : public ::testing::Test {
   PowerMonitorModule* module(int rank) {
     return dynamic_cast<PowerMonitorModule*>(
         instance_->broker(rank).find_module("power-monitor"));
+  }
+
+  /// Send `payload` exactly as given (no protocol key) and return the
+  /// response.
+  flux::Message ask(flux::Rank dest, const char* topic, util::Json payload) {
+    flux::Message got;
+    instance_->root().rpc(dest, topic, std::move(payload),
+                          [&](const flux::Message& resp) { got = resp; });
+    sim_.run_until(sim_.now() + 1.0);
+    return got;
+  }
+
+  /// Rank `rank`'s complete window [start, end] in the per-node shape of the
+  /// JSON data plane, built from the node-agent's ring.
+  util::Json historical_entry(flux::Rank rank, double start, double end) {
+    const ColumnarSampleStore& store = *module(rank)->store();
+    util::Json samples = util::Json::array();
+    const auto [lo, hi] = store.window_range(start, end);
+    for (std::size_t i = lo; i < hi; ++i) {
+      samples.push_back(variorum::render_node_power_json(store.get(i)));
+    }
+    util::Json entry = util::Json::object();
+    entry["hostname"] = cluster_.node(rank).hostname();
+    entry["rank"] = rank;
+    entry["complete"] = true;
+    entry["decimated"] = false;
+    entry["samples"] = std::move(samples);
+    return entry;
+  }
+
+  /// The payload `resp` carries on the wire.
+  static std::string wire_payload(const flux::Message& resp) {
+    return util::Json::parse(flux::encode_message(resp)).at("payload").dump();
   }
 
   sim::Simulation sim_;
@@ -61,7 +97,10 @@ TEST_F(MonitorTest, GetDataReturnsWindowedSamples) {
   window["end"] = 20.0;
   util::Json got;
   instance_->root().rpc(0, kGetDataTopic, std::move(window),
-                        [&](const flux::Message& resp) { got = resp.payload; });
+                        [&](const flux::Message& resp) {
+                          got = flux::render_telemetry_payload(
+                              resp.payload, *resp.telemetry);
+                        });
   sim_.run_until(31.0);
   ASSERT_TRUE(got.is_object());
   EXPECT_TRUE(got.bool_or("complete", false));
@@ -88,7 +127,10 @@ TEST_F(MonitorTest, BufferEvictionFlagsPartialData) {
   window["end"] = 60.0;
   util::Json got;
   instance_->root().rpc(0, kGetDataTopic, std::move(window),
-                        [&](const flux::Message& resp) { got = resp.payload; });
+                        [&](const flux::Message& resp) {
+                          got = flux::render_telemetry_payload(
+                              resp.payload, *resp.telemetry);
+                        });
   sim_.run_until(61.0);
   EXPECT_FALSE(got.bool_or("complete", true));
   EXPECT_EQ(got.at("samples").size(), 5u);
@@ -326,6 +368,92 @@ TEST_F(MonitorTest, EnergyIntegrationTracksExactMeters) {
   // 2 s trapezoidal integration of noisy sensors tracks the exact meter
   // within a few percent.
   EXPECT_NEAR(data->average_node_energy_j(), exact, 0.05 * exact);
+}
+
+// Every telemetry answer is a typed batch, whatever the request carries,
+// and the codec still renders it to the historical JSON bytes.
+TEST_F(MonitorTest, BareGetDataGetsTypedBatch) {
+  build(1);
+  sim_.run_until(30.0);
+  util::Json window = util::Json::object();
+  window["start"] = 10.0;
+  window["end"] = 20.0;
+  const flux::Message resp = ask(0, kGetDataTopic, std::move(window));
+  ASSERT_EQ(resp.errnum, 0);
+  ASSERT_NE(resp.telemetry, nullptr);
+  ASSERT_EQ(resp.telemetry->nodes.size(), 1u);
+  EXPECT_EQ(resp.telemetry->nodes.front().samples.size(), 6u);
+  EXPECT_EQ(wire_payload(resp), historical_entry(0, 10.0, 20.0).dump());
+
+  // A single-sample request keeps the newest in-window reading.
+  util::Json one = util::Json::object();
+  one["start"] = 10.0;
+  one["end"] = 20.0;
+  one["max_samples"] = 1;
+  const flux::Message thin = ask(0, kGetDataTopic, std::move(one));
+  ASSERT_NE(thin.telemetry, nullptr);
+  const flux::TelemetryNodeEntry& entry = thin.telemetry->nodes.front();
+  EXPECT_TRUE(entry.decimated);
+  ASSERT_EQ(entry.samples.size(), 1u);
+  EXPECT_EQ(entry.samples.front().timestamp_s, 20.0);
+}
+
+TEST_F(MonitorTest, BareGetSubtreeGetsTypedBatch) {
+  build(2);
+  sim_.run_until(30.0);
+  util::Json req = util::Json::object();
+  req["start"] = 10.0;
+  req["end"] = 20.0;
+  util::Json ranks = util::Json::array();
+  ranks.push_back(0);
+  ranks.push_back(1);
+  req["ranks"] = std::move(ranks);
+  const flux::Message resp = ask(0, kGetSubtreeTopic, std::move(req));
+  ASSERT_EQ(resp.errnum, 0);
+  ASSERT_NE(resp.telemetry, nullptr);
+  ASSERT_EQ(resp.telemetry->nodes.size(), 2u);
+
+  util::Json expect = util::Json::object();
+  expect["requested"] = 2;
+  expect["responding"] = 2;
+  util::Json nodes = util::Json::array();
+  nodes.push_back(historical_entry(0, 10.0, 20.0));  // local entry first
+  nodes.push_back(historical_entry(1, 10.0, 20.0));
+  expect["nodes"] = std::move(nodes);
+  EXPECT_EQ(wire_payload(resp), expect.dump());
+}
+
+TEST_F(MonitorTest, BareQueryJobGetsTypedBatch) {
+  PowerMonitorConfig cfg = PowerMonitorConfig::for_lassen();
+  cfg.archive_jobs = false;
+  build(2, Platform::LassenIbmAc922, cfg);
+  flux::JobSpec spec;
+  spec.name = "laghos";
+  spec.app = "laghos";
+  spec.nnodes = 2;
+  spec.attributes = util::Json::object();
+  spec.attributes["work_scale"] = 2.0;
+  const flux::JobId id = instance_->jobs().submit(spec);
+  while (!instance_->jobs().job(id).done() && sim_.step()) {
+  }
+  const flux::Job& job = instance_->jobs().job(id);
+  util::Json req = util::Json::object();
+  req["id"] = id;
+  const flux::Message resp = ask(flux::kRootRank, kQueryJobTopic, req);
+  ASSERT_EQ(resp.errnum, 0);
+  ASSERT_NE(resp.telemetry, nullptr);
+  ASSERT_EQ(resp.telemetry->nodes.size(), 2u);
+
+  util::Json expect = util::Json::object();
+  expect["id"] = static_cast<std::int64_t>(id);
+  expect["app"] = "laghos";
+  expect["t_start"] = job.t_start;
+  expect["t_end"] = job.t_end;
+  util::Json nodes = util::Json::array();
+  nodes.push_back(historical_entry(0, job.t_start, job.t_end));
+  nodes.push_back(historical_entry(1, job.t_start, job.t_end));
+  expect["nodes"] = std::move(nodes);
+  EXPECT_EQ(wire_payload(resp), expect.dump());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include "apps/launcher.hpp"
 #include "flux/instance.hpp"
+#include "flux/telemetry.hpp"
 #include "hwsim/cluster.hpp"
 #include "monitor/client.hpp"
 #include "monitor/power_monitor.hpp"
@@ -37,7 +38,8 @@ class TreeAggregationTest : public ::testing::Test {
     util::Json got;
     instance_->root().rpc(flux::kRootRank, kGetSubtreeTopic, std::move(req),
                           [&](const flux::Message& resp) {
-                            got = resp.payload;
+                            got = flux::render_telemetry_payload(
+                                resp.payload, *resp.telemetry);
                           });
     sim_.run_until(sim_.now() + 1.0);
     return got;
@@ -170,7 +172,10 @@ TEST_F(TreeAggregationTest, DecimationAppliesPerNodeThroughTree) {
   req["ranks"] = std::move(arr);
   util::Json got;
   instance_->root().rpc(flux::kRootRank, kGetSubtreeTopic, std::move(req),
-                        [&](const flux::Message& resp) { got = resp.payload; });
+                        [&](const flux::Message& resp) {
+                          got = flux::render_telemetry_payload(
+                              resp.payload, *resp.telemetry);
+                        });
   sim_.run_until(121.0);
   ASSERT_EQ(got.at("nodes").size(), 7u);
   for (const util::Json& n : got.at("nodes").as_array()) {

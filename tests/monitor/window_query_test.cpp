@@ -43,10 +43,17 @@ TEST(WindowQuery, DecimationHonored) {
   experiments::Scenario s(cfg);
   s.sim().run_until(200.0);
   MonitorClient client(s.instance());
-  auto data = client.query_window_blocking({0, 1}, 0.0, 200.0, 7);
-  ASSERT_TRUE(data.has_value());
-  for (const auto& n : data->nodes) {
-    EXPECT_EQ(n.samples.size(), 7u);
+  // {window end, max_samples}: the thinned run always ends on the newest
+  // in-window sample, and a single sample is that one.
+  for (const auto& [end, max_samples] :
+       {std::pair{200.0, 7}, std::pair{100.0, 2}, std::pair{100.0, 1}}) {
+    auto data = client.query_window_blocking({0, 1}, 0.0, end, max_samples);
+    ASSERT_TRUE(data.has_value());
+    for (const auto& n : data->nodes) {
+      ASSERT_EQ(n.samples.size(), static_cast<std::size_t>(max_samples))
+          << "max_samples " << max_samples;
+      EXPECT_EQ(n.samples.back().timestamp_s, end);
+    }
   }
 }
 

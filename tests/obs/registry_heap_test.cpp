@@ -64,7 +64,7 @@ void register_all(const util::Json& metrics, MetricsRegistry& reg) {
 }
 
 /// The instruments of a non-root broker with the power monitor loaded:
-/// the broker's 6 and the monitor's 13.
+/// the broker's 6 and the monitor's 10.
 util::Json broker_and_monitor_instruments() {
   experiments::ScenarioConfig cfg;
   cfg.nodes = 2;
@@ -76,7 +76,7 @@ util::Json broker_and_monitor_instruments() {
 
 TEST(RegistryHeap, BrokerAndMonitorInstrumentsFitInTwoKilobytes) {
   const util::Json instruments = broker_and_monitor_instruments();
-  ASSERT_EQ(instruments.as_array().size(), 19u);
+  ASSERT_EQ(instruments.as_array().size(), 16u);
   MetricsRegistry warm_up;
   register_all(instruments, warm_up);
   const std::size_t schemas = interned_schema_count();
@@ -87,7 +87,7 @@ TEST(RegistryHeap, BrokerAndMonitorInstrumentsFitInTwoKilobytes) {
     MetricsRegistry reg;
     register_all(instruments, reg);
     held = g_live_bytes - before;
-    EXPECT_EQ(reg.size(), 19u);
+    EXPECT_EQ(reg.size(), 16u);
     EXPECT_EQ(reg.to_json().dump(), warm_up.to_json().dump());
   }
   EXPECT_EQ(g_live_bytes, before) << "a destroyed registry returns its heap";

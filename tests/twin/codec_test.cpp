@@ -2,9 +2,9 @@
 // signed zeros), truncation and malformed-input rejection, container
 // version gating, spec round-trips, and — the satellite-4 regression plane
 // — digest sensitivity: state that previously had no codec coverage
-// (timer-wheel epoch/rebase counters, delta-aggregation watermark meta,
-// interned hostnames via sample content, pending stolen time, FPP control
-// rotation) must move the state digest when it changes.
+// (timer-wheel epoch/rebase counters, interned hostnames via sample
+// content, pending stolen time, FPP control rotation) must move the state
+// digest when it changes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -261,7 +261,7 @@ TEST(DigestSensitivity, FppControlRotationIsCovered) {
 }
 
 TEST(DigestSensitivity, MonitorRingContentIsCovered) {
-  // Interned hostnames and watermark meta travel inside the MON section;
+  // Interned hostnames and ring content travel inside the MON section;
   // one extra retained sample must move it.
   TwinSession session(small_spec(false));
   session.advance_to(30.0);
