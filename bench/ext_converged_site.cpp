@@ -94,7 +94,7 @@ int main() {
       throw std::runtime_error("ext_converged_site: site '" + s.name +
                                "' has no power-manager module loaded");
     }
-    return mod->config().cluster_power_bound_w;
+    return mod->cluster()->bound_w();
   };
   sim::PeriodicTask recorder(sim, 30.0, [&] {
     const double hw = hpc->cluster.total_draw_w();

@@ -106,7 +106,9 @@ Outcome run_level(const FaultLevel& level, std::uint64_t seed) {
   }
   auto* root_pm = static_cast<manager::PowerManagerModule*>(
       s.instance().root().find_module("power-manager"));
-  if (root_pm != nullptr) out.quarantine_events = root_pm->quarantine_events();
+  if (root_pm != nullptr) {
+    out.quarantine_events = root_pm->cluster()->quarantine_events();
+  }
   return out;
 }
 

@@ -17,255 +17,283 @@ namespace {
 bool transient(const hwsim::CapResult& r) {
   return r.status == hwsim::CapStatus::IoError;
 }
+
+/// Cap managed device `i` (a GPU, else a CPU socket) at `cap_w`.
+hwsim::CapResult cap_domain(PowerManagerModule& mod, int i, double cap_w) {
+  hwsim::Node& node = *mod.broker().node();
+  return mod.manages_gpus() ? variorum::cap_gpu_power_limit(node, i, cap_w)
+                            : node.set_socket_power_cap(i, cap_w);
+}
 }  // namespace
+
+void NodePolicyPlugin::every(double period_s, std::function<bool()> fn) {
+  tasks_.push_back(std::make_unique<sim::PeriodicTask>(
+      mod_.broker().sim(), period_s, std::move(fn)));
+}
+
+void NodePolicyPlugin::arm_control_tick() {
+  // A transient write failure arms the backoff ladder rather than waiting a
+  // full control period.
+  every(mod_.config().control_period_s, [this] {
+    mod_.enforce_with_retry();
+    return true;
+  });
+}
 
 /// NodePolicy::None — the node applies nothing; the static cap (if any)
 /// was installed at load and stands.
-class NonePolicyPlugin final : public policy::NodePolicyPlugin {
+class NonePolicyPlugin final : public NodePolicyPlugin {
  public:
-  explicit NonePolicyPlugin(PowerManagerModule& mod) : mod_(mod) {}
-  const char* name() const noexcept override { return "none"; }
+  using NodePolicyPlugin::NodePolicyPlugin;
   bool enforce() override { return true; }
-
- private:
-  [[maybe_unused]] PowerManagerModule& mod_;
 };
 
 /// IbmDefaultNodeCap — hand the limit to the platform's node dial (OPAL on
 /// AC922); firmware derives conservative device caps.
-class IbmNodeCapPlugin final : public policy::NodePolicyPlugin {
+class IbmNodeCapPlugin final : public NodePolicyPlugin {
  public:
-  explicit IbmNodeCapPlugin(PowerManagerModule& mod) : mod_(mod) {}
-  const char* name() const noexcept override { return "ibm-default"; }
+  using NodePolicyPlugin::NodePolicyPlugin;
   bool enforce() override {
-    hwsim::Node* node = mod_.broker_->node();
-    const double cap = mod_.node_limit_w_ > 0.0 ? mod_.node_limit_w_
-                                                : mod_.config_.node_peak_w;
-    const auto result = variorum::cap_best_effort_node_power_limit(*node, cap);
+    const double cap = mod_.node_limit_w() > 0.0 ? mod_.node_limit_w()
+                                                 : mod_.config().node_peak_w;
+    const auto result =
+        variorum::cap_best_effort_node_power_limit(*mod_.broker().node(), cap);
     if (!result.ok()) {
       util::log_warning(std::string("power-manager: node cap failed: ") +
                         hwsim::cap_status_name(result.status));
     }
     return !transient(result);
   }
-
- private:
-  PowerManagerModule& mod_;
 };
 
 /// DirectGpuBudget — measure the node's non-managed draw and cap each
 /// device uniformly at the derived budget.
-class GpuBudgetPlugin final : public policy::NodePolicyPlugin {
+class GpuBudgetPlugin final : public NodePolicyPlugin {
  public:
-  explicit GpuBudgetPlugin(PowerManagerModule& mod) : mod_(mod) {}
-  const char* name() const noexcept override { return "gpu-budget"; }
-  bool wants_control_tick() const noexcept override { return true; }
+  using NodePolicyPlugin::NodePolicyPlugin;
+  void arm() override { arm_control_tick(); }
   bool enforce() override {
     const double budget = mod_.derive_gpu_budget_w();
     if (budget <= 0.0) return true;
     return mod_.apply_uniform_cap(budget);
   }
-
- private:
-  PowerManagerModule& mod_;
 };
 
-/// Fpp — the budget gives each controller its ceiling; the module-owned
-/// FFT engine (typed PowerSample windows) does the dynamic adjustment.
-class FppNodePlugin final : public policy::NodePolicyPlugin {
- public:
-  explicit FppNodePlugin(PowerManagerModule& mod) : mod_(mod) {}
-  const char* name() const noexcept override { return "fpp"; }
-  bool wants_control_tick() const noexcept override { return true; }
-  bool wants_fpp_engine() const noexcept override { return true; }
-  void on_limit_refresh() override {
-    // A raised limit starts a new FPP epoch: rebuild the controllers so
-    // Algorithm 1's MAIN re-derives P_cap_cur and the convergence latch
-    // resets; a job inheriting freed power rides the higher ceiling.
-    const FppConfig dcfg = mod_.domain_fpp_config();
-    for (auto& c : mod_.fpp_) {
-      c = std::make_unique<FppController>(dcfg, dcfg.max_gpu_cap_w);
+// ---------------------------------------------------------------------------
+// Fpp
+// ---------------------------------------------------------------------------
+
+void FppNodePlugin::arm() {
+  arm_control_tick();
+  if (mod_.managed_domain_count() == 0) return;
+  // One controller per managed device at the full ceiling; ceilings are
+  // refined once a limit arrives.
+  controllers_.resize(static_cast<std::size_t>(mod_.managed_domain_count()));
+  on_limit_refresh();
+  const PowerManagerConfig& config = mod_.config();
+  every(config.fpp.sample_period_s, [this, &config] {
+    // Typed sample straight off the sensors: the FPP window feed never
+    // touches JSON.
+    hwsim::Node& node = *mod_.broker().node();
+    const hwsim::PowerSample s = variorum::get_node_power_sample(node);
+    const std::span<const double> per_domain = mod_.managed_w(s);
+    for (std::size_t i = 0; i < controllers_.size() && i < per_domain.size();
+         ++i) {
+      controllers_[i]->add_power_sample(per_domain[i]);
     }
-    mod_.time_since_fpp_control_s_ = 0.0;
-  }
-  bool enforce() override {
-    // Clamp each controller's cap to the fresh budget; the 90 s control
-    // loop does the dynamic adjustment.
-    hwsim::Node* node = mod_.broker_->node();
+    if (config.sample_cost_s > 0.0) node.add_stolen_time(config.sample_cost_s);
+    return true;
+  });
+  every(config.fpp.fft_update_s, [this, &config] {
+    time_since_control_s_ += config.fpp.fft_update_s;
+    if (time_since_control_s_ + 1e-9 < config.fpp.powercap_time_s) {
+      for (auto& c : controllers_) c->update_period();
+      return true;
+    }
+    time_since_control_s_ = 0.0;
+    // control() re-estimates the period from the same buffer, so only the
+    // controllers it skips this round run update_period().
     const double budget = mod_.derive_gpu_budget_w();
-    bool ok = true;
-    for (std::size_t i = 0; i < mod_.fpp_.size(); ++i) {
-      const double cap = std::min(mod_.fpp_[i]->current_cap_w(), budget);
-      if (mod_.manages_gpus()) {
-        ok = ok && !transient(variorum::cap_gpu_power_limit(
-                       *node, static_cast<int>(i), cap));
-      } else {
-        ok = ok &&
-             !transient(node->set_socket_power_cap(static_cast<int>(i), cap));
+    const std::size_t active = control_round_++ % controllers_.size();
+    for (std::size_t i = 0; i < controllers_.size(); ++i) {
+      if (config.fpp.stagger_probes && i != active) {
+        controllers_[i]->update_period();
+        continue;
       }
+      cap_domain(mod_, static_cast<int>(i), controllers_[i]->control(budget));
     }
-    return ok;
+    return true;
+  });
+}
+
+void FppNodePlugin::on_limit_refresh() {
+  // A raised limit starts a new FPP epoch: rebuild the controllers so
+  // Algorithm 1's MAIN re-derives P_cap_cur and the convergence latch
+  // resets; a job inheriting freed power rides the higher ceiling.
+  const FppConfig dcfg = mod_.domain_fpp_config();
+  for (auto& c : controllers_) {
+    c = std::make_unique<FppController>(dcfg, dcfg.max_gpu_cap_w);
   }
+  time_since_control_s_ = 0.0;
+}
 
- private:
-  PowerManagerModule& mod_;
-};
-
-/// ProgressBased — probe-and-hold capping guarded by the measured progress
-/// rate (state machine identical to the pre-plane module logic).
-class ProgressNodePlugin final : public policy::NodePolicyPlugin {
- public:
-  explicit ProgressNodePlugin(PowerManagerModule& mod) : mod_(mod) {}
-  const char* name() const noexcept override { return "progress"; }
-  bool wants_progress() const noexcept override { return true; }
-  bool wants_control_tick() const noexcept override { return true; }
-  double progress_tick_period_s() const noexcept override {
-    return mod_.config_.progress.control_period_s;
+bool FppNodePlugin::enforce() {
+  // Clamp each controller's cap to the fresh budget; the 90 s control
+  // loop does the dynamic adjustment.
+  const double budget = mod_.derive_gpu_budget_w();
+  bool ok = true;
+  for (std::size_t i = 0; i < controllers_.size(); ++i) {
+    const double cap = std::min(controllers_[i]->current_cap_w(), budget);
+    ok = ok && !transient(cap_domain(mod_, static_cast<int>(i), cap));
   }
+  return ok;
+}
 
-  void on_progress(double work_done, double now_s) override {
-    if (work_done < 0.0) return;
-    if (last_work_ >= 0.0 && work_done >= last_work_ && now_s > last_t_) {
-      rate_ = (work_done - last_work_) / (now_s - last_t_);
-    } else if (work_done < last_work_) {
-      // A new job started on this node: forget the previous one's state.
-      reset();
-    }
-    last_work_ = work_done;
-    last_t_ = now_s;
-  }
+void FppNodePlugin::encode_state(std::vector<std::uint8_t>& out) const {
+  policy::state_put_u64(out, control_round_);
+  policy::state_put_f64(out, time_since_control_s_);
+}
 
-  void on_limit_refresh() override {
-    // New headroom: re-baseline and probe again from the fresh budget.
-    reset();
-  }
+// ---------------------------------------------------------------------------
+// Progress-observing policies
+// ---------------------------------------------------------------------------
 
-  void on_progress_tick() override {
-    hwsim::Node* node = mod_.broker_->node();
-    if (node == nullptr) return;
-    const FppConfig dcfg = mod_.domain_fpp_config();  // reuses the cap ranges
-    const double budget = mod_.derive_gpu_budget_w();
-    if (rate_ < 0.0) {
-      // No progress signal (idle node, or a job without reporting): behave
-      // like plain budget enforcement.
-      state_ = State::Baseline;
-      cap_w_ = 0.0;
-    } else {
-      switch (state_) {
-        case State::Baseline:
-          // One full control window at the budget establishes the baseline.
-          baseline_ = rate_;
-          last_good_w_ = budget;
-          cap_w_ = std::max(dcfg.min_gpu_cap_w,
-                            budget - mod_.config_.progress.step_w);
-          state_ = State::Probing;
-          break;
-        case State::Probing:
-          if (rate_ >=
-              (1.0 - mod_.config_.progress.tolerance) * baseline_) {
-            // Progress unharmed: keep the saving and probe further down.
-            last_good_w_ = cap_w_;
-            const double next = std::max(
-                dcfg.min_gpu_cap_w, cap_w_ - mod_.config_.progress.step_w);
-            if (next == cap_w_) {
-              state_ = State::Hold;  // at the floor
+void ProgressPlugin::arm() {
+  if (mod_.managed_domain_count() > 0) {
+    flux::Broker& broker = mod_.broker();
+    subscription_ = broker.subscribe_event(
+        "job.progress", [this, &broker](const flux::Message& event) {
+          // Only progress of the job running on *this* node matters.
+          if (!event.payload.contains("ranks")) return;
+          for (const util::Json& r : event.payload.at("ranks").as_array()) {
+            if (static_cast<flux::Rank>(r.as_int()) == broker.rank()) {
+              on_progress(event.payload.number_or("work_done", -1.0),
+                          broker.sim().now());
+              return;
             }
-            cap_w_ = next;
-          } else {
-            // Progress degraded: restore the last good cap and hold.
-            cap_w_ = last_good_w_;
-            state_ = State::Hold;
           }
-          break;
-        case State::Hold:
-          break;
+        });
+    every(tick_period_s_, [this] {
+      const double budget = mod_.derive_gpu_budget_w();
+      step(budget, mod_.domain_fpp_config().min_gpu_cap_w);
+      mod_.apply_uniform_cap(capped(budget));
+      return true;
+    });
+  }
+  arm_control_tick();
+}
+
+void ProgressPlugin::disarm() {
+  NodePolicyPlugin::disarm();
+  if (subscription_ != 0) {
+    mod_.broker().unsubscribe_event(subscription_);
+    subscription_ = 0;
+  }
+}
+
+void ProgressPlugin::on_progress(double work_done, double now_s) {
+  if (work_done < 0.0) return;
+  if (last_work_ >= 0.0 && work_done >= last_work_ && now_s > last_t_) {
+    rate_ = (work_done - last_work_) / (now_s - last_t_);
+  } else if (work_done < last_work_) {
+    reset();  // a new job started on this node
+  }
+  last_work_ = work_done;
+  last_t_ = now_s;
+}
+
+void ProgressPlugin::reset() {
+  last_work_ = -1.0;
+  rate_ = -1.0;
+  baseline_ = -1.0;
+  cap_w_ = 0.0;
+}
+
+bool ProgressPlugin::enforce() {
+  // Budget refresh must respect the control loop's active cap.
+  const double budget = mod_.derive_gpu_budget_w();
+  if (budget <= 0.0) return true;
+  return mod_.apply_uniform_cap(capped(budget));
+}
+
+ProgressNodePlugin::ProgressNodePlugin(PowerManagerModule& mod)
+    : ProgressPlugin(mod, mod.config().progress.control_period_s) {}
+
+void ProgressNodePlugin::reset() {
+  ProgressPlugin::reset();
+  state_ = State::Baseline;
+  last_good_w_ = 0.0;
+}
+
+void ProgressNodePlugin::step(double budget_w, double floor_w) {
+  const ProgressPolicyConfig& pc = mod_.config().progress;
+  if (rate_ < 0.0) {
+    // No progress signal (idle node, or a job without reporting): behave
+    // like plain budget enforcement.
+    state_ = State::Baseline;
+    cap_w_ = 0.0;
+    return;
+  }
+  switch (state_) {
+    case State::Baseline:
+      // One full control window at the budget establishes the baseline.
+      baseline_ = rate_;
+      last_good_w_ = budget_w;
+      cap_w_ = std::max(floor_w, budget_w - pc.step_w);
+      state_ = State::Probing;
+      break;
+    case State::Probing:
+      if (rate_ >= (1.0 - pc.tolerance) * baseline_) {
+        // Progress unharmed: keep the saving and probe further down.
+        last_good_w_ = cap_w_;
+        const double next = std::max(floor_w, cap_w_ - pc.step_w);
+        if (next == cap_w_) state_ = State::Hold;  // at the floor
+        cap_w_ = next;
+      } else {
+        // Progress degraded: restore the last good cap and hold.
+        cap_w_ = last_good_w_;
+        state_ = State::Hold;
       }
-    }
-
-    const double cap = cap_w_ > 0.0 ? std::min(cap_w_, budget) : budget;
-    mod_.apply_uniform_cap(cap);
+      break;
+    case State::Hold:
+      break;
   }
+}
 
-  bool enforce() override {
-    // Budget refresh must respect the probing loop's active cap.
-    const double budget = mod_.derive_gpu_budget_w();
-    if (budget <= 0.0) return true;
-    const double cap = cap_w_ > 0.0 ? std::min(cap_w_, budget) : budget;
-    return mod_.apply_uniform_cap(cap);
-  }
+void ProgressNodePlugin::encode_state(std::vector<std::uint8_t>& out) const {
+  policy::state_put_u32(out, static_cast<std::uint32_t>(state_));
+  policy::state_put_f64(out, last_work_);
+  policy::state_put_f64(out, last_t_);
+  policy::state_put_f64(out, rate_);
+  policy::state_put_f64(out, baseline_);
+  policy::state_put_f64(out, cap_w_);
+  policy::state_put_f64(out, last_good_w_);
+}
 
-  double progress_rate() const noexcept override { return rate_; }
-  double progress_cap_w() const noexcept override { return cap_w_; }
-  bool progress_holding() const noexcept override {
-    return state_ == State::Hold;
-  }
+/// PiBound — PI controller converging the uniform cap to the deepest value
+/// whose measured progress degradation stays at the configured bound.
+class PiBoundNodePlugin final : public ProgressPlugin {
+ public:
+  explicit PiBoundNodePlugin(PowerManagerModule& mod)
+      : ProgressPlugin(mod, mod.config().pi.control_period_s) {}
 
   void encode_state(std::vector<std::uint8_t>& out) const override {
-    policy::state_put_u32(out, static_cast<std::uint32_t>(state_));
     policy::state_put_f64(out, last_work_);
     policy::state_put_f64(out, last_t_);
     policy::state_put_f64(out, rate_);
     policy::state_put_f64(out, baseline_);
+    policy::state_put_f64(out, integral_);
     policy::state_put_f64(out, cap_w_);
-    policy::state_put_f64(out, last_good_w_);
   }
 
  private:
-  enum class State : std::uint32_t { Baseline, Probing, Hold };
-  void reset() {
-    state_ = State::Baseline;
-    last_work_ = -1.0;
-    rate_ = -1.0;
-    baseline_ = -1.0;
-    cap_w_ = 0.0;
-    last_good_w_ = 0.0;
+  void reset() override {
+    ProgressPlugin::reset();
+    integral_ = 0.0;
   }
 
-  PowerManagerModule& mod_;
-  State state_ = State::Baseline;
-  double last_work_ = -1.0;
-  double last_t_ = 0.0;
-  double rate_ = -1.0;      ///< latest measured work/s
-  double baseline_ = -1.0;  ///< rate at the uncapped budget
-  double cap_w_ = 0.0;      ///< active probe cap (0 = follow budget)
-  double last_good_w_ = 0.0;
-};
-
-/// PiBound — PI controller converging the uniform cap to the deepest value
-/// whose measured progress degradation stays at the configured bound.
-class PiBoundNodePlugin final : public policy::NodePolicyPlugin {
- public:
-  explicit PiBoundNodePlugin(PowerManagerModule& mod) : mod_(mod) {}
-  const char* name() const noexcept override { return "pi-bound"; }
-  bool wants_progress() const noexcept override { return true; }
-  bool wants_control_tick() const noexcept override { return true; }
-  double progress_tick_period_s() const noexcept override {
-    return mod_.config_.pi.control_period_s;
-  }
-
-  void on_progress(double work_done, double now_s) override {
-    if (work_done < 0.0) return;
-    if (last_work_ >= 0.0 && work_done >= last_work_ && now_s > last_t_) {
-      rate_ = (work_done - last_work_) / (now_s - last_t_);
-    } else if (work_done < last_work_) {
-      reset();  // a new job started on this node
-    }
-    last_work_ = work_done;
-    last_t_ = now_s;
-  }
-
-  void on_limit_refresh() override {
-    // New headroom invalidates the baseline (it was measured under the old
-    // budget): re-measure and restart the controller from rest.
-    reset();
-  }
-
-  void on_progress_tick() override {
-    hwsim::Node* node = mod_.broker_->node();
-    if (node == nullptr) return;
-    const double budget = mod_.derive_gpu_budget_w();
-    const double floor_w = mod_.domain_fpp_config().min_gpu_cap_w;
-    const PiPolicyConfig& pc = mod_.config_.pi;
+  void step(double budget_w, double floor_w) override {
+    const PiPolicyConfig& pc = mod_.config().pi;
     if (rate_ < 0.0) {
       // No progress signal: plain budget enforcement, controller at rest.
       baseline_ = -1.0;
@@ -278,7 +306,7 @@ class PiBoundNodePlugin final : public policy::NodePolicyPlugin {
     } else {
       const double degradation = std::max(0.0, 1.0 - rate_ / baseline_);
       const double error = pc.degradation_bound - degradation;
-      const double span = std::max(0.0, budget - floor_w);
+      const double span = std::max(0.0, budget_w - floor_w);
       integral_ += error;
       // Anti-windup: keep the integral term within the actuator range so a
       // long under-bound stretch cannot wind up a huge latent saving.
@@ -289,50 +317,14 @@ class PiBoundNodePlugin final : public policy::NodePolicyPlugin {
       }
       const double saving =
           std::clamp(pc.kp * error + pc.ki * integral_, 0.0, span);
-      cap_w_ = span > 0.0 ? budget - saving : 0.0;
+      cap_w_ = span > 0.0 ? budget_w - saving : 0.0;
     }
-    const double cap = cap_w_ > 0.0 ? std::min(cap_w_, budget) : budget;
-    mod_.apply_uniform_cap(cap);
   }
 
-  bool enforce() override {
-    const double budget = mod_.derive_gpu_budget_w();
-    if (budget <= 0.0) return true;
-    const double cap = cap_w_ > 0.0 ? std::min(cap_w_, budget) : budget;
-    return mod_.apply_uniform_cap(cap);
-  }
-
-  double progress_rate() const noexcept override { return rate_; }
-  double progress_cap_w() const noexcept override { return cap_w_; }
-
-  void encode_state(std::vector<std::uint8_t>& out) const override {
-    policy::state_put_f64(out, last_work_);
-    policy::state_put_f64(out, last_t_);
-    policy::state_put_f64(out, rate_);
-    policy::state_put_f64(out, baseline_);
-    policy::state_put_f64(out, integral_);
-    policy::state_put_f64(out, cap_w_);
-  }
-
- private:
-  void reset() {
-    last_work_ = -1.0;
-    rate_ = -1.0;
-    baseline_ = -1.0;
-    integral_ = 0.0;
-    cap_w_ = 0.0;
-  }
-
-  PowerManagerModule& mod_;
-  double last_work_ = -1.0;
-  double last_t_ = 0.0;
-  double rate_ = -1.0;
-  double baseline_ = -1.0;  ///< rate measured at the full budget
-  double integral_ = 0.0;   ///< accumulated error (one sample per tick)
-  double cap_w_ = 0.0;      ///< controller output (0 = follow budget)
+  double integral_ = 0.0;  ///< accumulated error (one sample per tick)
 };
 
-std::unique_ptr<policy::NodePolicyPlugin> make_node_policy_plugin(
+std::unique_ptr<NodePolicyPlugin> make_node_policy_plugin(
     PowerManagerModule& mod, NodePolicy policy) {
   switch (policy) {
     case NodePolicy::None:

@@ -1,5 +1,6 @@
 #include "monitor/power_monitor.hpp"
 
+#include <algorithm>
 #include <array>
 
 #include "flux/hostlist.hpp"
@@ -318,8 +319,10 @@ void PowerMonitorModule::handle_get_subtree(const Message& req) {
       wanted.push_back(static_cast<flux::Rank>(r.as_int()));
     }
   }
+  // Sorted once: partitioning tests every rank below this broker.
+  std::sort(wanted.begin(), wanted.end());
   auto wants = [&wanted](flux::Rank r) {
-    return std::find(wanted.begin(), wanted.end(), r) != wanted.end();
+    return std::binary_search(wanted.begin(), wanted.end(), r);
   };
 
   struct Pending {

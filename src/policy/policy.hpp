@@ -14,11 +14,9 @@
 //     queued job, in submission order) plus a SchedView snapshot of the
 //     cluster ledger, and acts through scheduling hints (Start / HoldQueue
 //     / SkipJob) and an admission charge against the admitted-power ledger.
-//   * NodePolicyPlugin observes pushed node limits, job progress events and
-//     the host module's telemetry (typed PowerSample windows via the FPP
-//     engine, obs gauges via the broker registry), and acts through the
-//     module's cap primitives — every watt written to hardware still flows
-//     through the existing push/retry/quarantine machinery.
+//   * The node half, manager::NodePolicyPlugin (manager/node_policies.hpp),
+//     observes pushed node limits, job progress events and typed power
+//     samples, and acts through the power-manager module's cap primitives.
 //
 // Determinism rules (DESIGN.md "Policy plane"):
 //   * Policies must be pure functions of their observed inputs: no wall
@@ -113,52 +111,6 @@ class SchedulerPolicy {
 
   /// Serialize mutable policy state for the twin's POL section (empty for
   /// stateless policies). Must be deterministic.
-  virtual void encode_state(std::vector<std::uint8_t>& out) const {
-    (void)out;
-  }
-};
-
-/// Node-side policy: how a node enforces its pushed power limit. Concrete
-/// plugins live next to the power-manager module (they act through its cap
-/// primitives); this interface is what the module dispatches through.
-class NodePolicyPlugin {
- public:
-  virtual ~NodePolicyPlugin() = default;
-
-  virtual const char* name() const noexcept = 0;
-
-  // -- capability flags: which of the host module's periodic machinery is
-  //    wired up at load. Mirrors the former enum gating exactly.
-  virtual bool wants_progress() const noexcept { return false; }
-  virtual bool wants_control_tick() const noexcept { return false; }
-  virtual bool wants_fpp_engine() const noexcept { return false; }
-  /// Period of the progress-driven control tick (only consulted when
-  /// wants_progress()).
-  virtual double progress_tick_period_s() const noexcept { return 0.0; }
-
-  // -- observe
-  /// A local job reported cumulative work `work_done` at sim time `now_s`.
-  virtual void on_progress(double work_done, double now_s) {
-    (void)work_done;
-    (void)now_s;
-  }
-  /// Periodic progress-control tick (period = progress_tick_period_s()).
-  virtual void on_progress_tick() {}
-  /// The node limit was freshly installed or raised (new headroom epoch).
-  virtual void on_limit_refresh() {}
-
-  // -- act
-  /// Apply the active node limit to the local hardware; false only on a
-  /// transient cap-write failure (arms the host's backoff ladder).
-  virtual bool enforce() = 0;
-
-  // -- introspection (keeps the twin MGR section byte-compatible: the
-  //    defaults equal the former module members' initial values).
-  virtual double progress_rate() const noexcept { return -1.0; }
-  virtual double progress_cap_w() const noexcept { return 0.0; }
-  virtual bool progress_holding() const noexcept { return false; }
-
-  /// Serialize mutable plugin state for the twin's POL section.
   virtual void encode_state(std::vector<std::uint8_t>& out) const {
     (void)out;
   }

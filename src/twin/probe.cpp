@@ -166,48 +166,47 @@ void encode_mon(ByteWriter& w, experiments::Scenario& sc) {
 }
 
 void encode_mgr(ByteWriter& w, experiments::Scenario& sc) {
+  // Node enforcement state, every rank; the plugins' own state (FPP
+  // rotation, progress control) travels in POL.
   flux::Instance& inst = sc.instance();
   w.u32(static_cast<std::uint32_t>(inst.size()));
+  const manager::ClusterManager* cluster = nullptr;
   for (int rank = 0; rank < inst.size(); ++rank) {
     auto* mod = dynamic_cast<manager::PowerManagerModule*>(
         inst.broker(rank).find_module("power-manager"));
     w.boolean(mod != nullptr);
     if (mod == nullptr) continue;
-    // Node-level enforcement state (every rank).
+    if (mod->cluster() != nullptr) cluster = mod->cluster();
     w.f64(mod->node_limit_w());
     w.f64(mod->last_gpu_budget_w());
     w.u64(mod->cap_retries());
     w.boolean(mod->cap_retry_pending());
     w.f64(mod->cap_retry_delay_s());
-    w.u64(static_cast<std::uint64_t>(mod->fpp_control_round()));
-    w.f64(mod->time_since_fpp_control_s());
-    w.f64(mod->progress_rate());
-    w.f64(mod->progress_cap_w());
-    w.boolean(mod->progress_holding());
-    // Cluster-level ledgers (populated on the root only; empty elsewhere).
-    const auto& allocations = mod->allocations();
-    w.u32(static_cast<std::uint32_t>(allocations.size()));
-    for (const auto& [job_id, alloc] : allocations) {
-      w.u64(job_id);
-      w.u32(static_cast<std::uint32_t>(alloc.ranks.size()));
-      for (flux::Rank r : alloc.ranks) w.u32(static_cast<std::uint32_t>(r));
-      w.f64(alloc.job_power_w);
-      w.f64(alloc.node_power_w);
-      w.f64(alloc.requested_node_power_w);
-    }
-    const auto& strikes = mod->push_strikes();
-    w.u32(static_cast<std::uint32_t>(strikes.size()));
-    for (const auto& [r, count] : strikes) {
-      w.u32(static_cast<std::uint32_t>(r));
-      w.u32(static_cast<std::uint32_t>(count));
-    }
-    const auto& quarantined = mod->quarantined();
-    w.u32(static_cast<std::uint32_t>(quarantined.size()));
-    for (flux::Rank r : quarantined) w.u32(static_cast<std::uint32_t>(r));
-    w.u64(mod->quarantine_events());
-    w.boolean(mod->emergency_active());
-    w.u32(static_cast<std::uint32_t>(mod->emergency_strike_count()));
   }
+  // The root's ledgers, once.
+  w.boolean(cluster != nullptr);
+  if (cluster == nullptr) return;
+  w.u32(static_cast<std::uint32_t>(cluster->allocations().size()));
+  for (const auto& [job_id, alloc] : cluster->allocations()) {
+    w.u64(job_id);
+    w.u32(static_cast<std::uint32_t>(alloc.ranks.size()));
+    for (flux::Rank r : alloc.ranks) w.u32(static_cast<std::uint32_t>(r));
+    w.f64(alloc.job_power_w);
+    w.f64(alloc.node_power_w);
+    w.f64(alloc.requested_node_power_w);
+  }
+  w.u32(static_cast<std::uint32_t>(cluster->push_strikes().size()));
+  for (const auto& [r, count] : cluster->push_strikes()) {
+    w.u32(static_cast<std::uint32_t>(r));
+    w.u32(static_cast<std::uint32_t>(count));
+  }
+  w.u32(static_cast<std::uint32_t>(cluster->quarantined().size()));
+  for (flux::Rank r : cluster->quarantined()) {
+    w.u32(static_cast<std::uint32_t>(r));
+  }
+  w.u64(cluster->quarantine_events());
+  w.boolean(cluster->emergency_active());
+  w.u32(static_cast<std::uint32_t>(cluster->emergency_strike_count()));
 }
 
 void encode_pol(ByteWriter& w, experiments::Scenario& sc) {
@@ -238,10 +237,9 @@ void encode_pol(ByteWriter& w, experiments::Scenario& sc) {
         inst.broker(rank).find_module("power-manager"));
     w.boolean(mod != nullptr);
     if (mod == nullptr) continue;
-    const policy::NodePolicyPlugin& plugin = mod->node_plugin();
-    w.str(plugin.name());
+    w.str(manager::node_policy_name(mod->config().node_policy));
     blob.clear();
-    plugin.encode_state(blob);
+    mod->node_plugin().encode_state(blob);
     w.u32(static_cast<std::uint32_t>(blob.size()));
     w.bytes(blob);
   }

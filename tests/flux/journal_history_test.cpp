@@ -142,6 +142,29 @@ TEST(PowerHistory, MaxPointsTruncatesFromTheFront) {
   EXPECT_GT(got.at("points")[0].number_or("t_s", 0.0), 80.0);
 }
 
+// A negative count must not wrap to a huge std::size_t and return every
+// point as a success.
+TEST(PowerHistory, RejectsNegativeMaxPoints) {
+  experiments::ScenarioConfig cfg;
+  cfg.nodes = 1;
+  cfg.load_manager = true;
+  cfg.manager.history_period_s = 5.0;
+  experiments::Scenario s(cfg);
+  s.sim().run_until(50.0);
+  util::Json req = util::Json::object();
+  req["max_points"] = -1;
+  int errnum = 0;
+  bool answered = false;
+  s.instance().root().rpc(flux::kRootRank, manager::kHistoryTopic,
+                          std::move(req), [&](const flux::Message& resp) {
+                            answered = true;
+                            errnum = resp.errnum;
+                          });
+  s.sim().run_until(51.0);
+  EXPECT_TRUE(answered);
+  EXPECT_EQ(errnum, flux::kEInval);
+}
+
 TEST(UserAccounting, EnergyAccumulatesPerUser) {
   experiments::ScenarioConfig cfg;
   cfg.nodes = 2;

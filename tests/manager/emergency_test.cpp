@@ -42,7 +42,7 @@ TEST_F(EmergencyTest, EngagesWhenMeasuredDrawExceedsBound) {
   s.submit(req);
   s.sim().run_until(60.0);
 
-  EXPECT_TRUE(root_manager(s)->emergency_active());
+  EXPECT_TRUE(root_manager(s)->cluster()->emergency_active());
   EXPECT_EQ(engaged_events, 1);
   // Deep limits were pushed to every node-level-manager.
   for (int r = 0; r < 4; ++r) {
@@ -67,7 +67,7 @@ TEST_F(EmergencyTest, DoesNotEngageWithinBound) {
   req.work_scale = 1.0;
   s.submit(req);
   auto res = s.run();
-  EXPECT_FALSE(root_manager(s)->emergency_active());
+  EXPECT_FALSE(root_manager(s)->cluster()->emergency_active());
   EXPECT_GT(res.makespan_s, 0.0);
 }
 
@@ -100,7 +100,103 @@ TEST_F(EmergencyTest, ReleasesWhenDrawSubsides) {
   ASSERT_GE(transitions.size(), 2u);
   EXPECT_TRUE(transitions.front());
   EXPECT_FALSE(transitions.back());
-  EXPECT_FALSE(root_manager(s)->emergency_active());
+  EXPECT_FALSE(root_manager(s)->cluster()->emergency_active());
+}
+
+// Site coordination can set the bound to 0 ("unconstrained") at runtime.
+// There is then no bound to defend: no check may engage an emergency (the
+// deep limit would be 0 W), and a standing one is released.
+void set_bound(experiments::Scenario& s, double bound_w) {
+  util::Json payload = util::Json::object();
+  payload["bound_w"] = bound_w;
+  int errnum = -1;
+  s.instance().root().rpc(flux::kRootRank, kSetClusterBoundTopic,
+                          std::move(payload),
+                          [&](const flux::Message& m) { errnum = m.errnum; });
+  s.sim().run_until(s.sim().now() + 1.0);
+  ASSERT_EQ(errnum, 0);
+}
+
+TEST_F(EmergencyTest, UnconstrainedBoundNeverEngages) {
+  experiments::ScenarioConfig cfg;
+  cfg.nodes = 4;
+  cfg.load_manager = true;
+  cfg.manager.cluster_power_bound_w = 4 * 1200.0;
+  cfg.manager.node_policy = NodePolicy::DirectGpuBudget;
+  cfg.manager.emergency_response = true;
+  cfg.manager.emergency_check_period_s = 10.0;
+  experiments::Scenario s(cfg);
+  int engaged_events = 0;
+  s.instance().root().subscribe_event(
+      "power-manager.emergency", [&](const flux::Message& m) {
+        if (m.payload.bool_or("engaged", false)) ++engaged_events;
+      });
+  experiments::JobRequest req;
+  req.kind = apps::AppKind::Gemm;
+  req.nnodes = 4;
+  req.work_scale = 1.0;
+  s.submit(req);
+  s.sim().run_until(30.0);
+  set_bound(s, 0.0);
+  s.sim().run_until(120.0);
+  EXPECT_EQ(engaged_events, 0);
+  EXPECT_FALSE(root_manager(s)->cluster()->emergency_active());
+  EXPECT_EQ(root_manager(s)->cluster()->emergency_strike_count(), 0);
+}
+
+TEST_F(EmergencyTest, UnconstrainedBoundReleasesEmergency) {
+  experiments::ScenarioConfig cfg;
+  cfg.nodes = 4;
+  cfg.load_manager = true;
+  cfg.manager.cluster_power_bound_w = 4 * 900.0;
+  cfg.manager.node_policy = NodePolicy::None;
+  cfg.manager.emergency_response = true;
+  cfg.manager.emergency_check_period_s = 10.0;
+  experiments::Scenario s(cfg);
+  std::vector<bool> transitions;
+  s.instance().root().subscribe_event(
+      "power-manager.emergency", [&](const flux::Message& m) {
+        transitions.push_back(m.payload.bool_or("engaged", false));
+      });
+  experiments::JobRequest req;
+  req.kind = apps::AppKind::Gemm;
+  req.nnodes = 4;
+  req.work_scale = 1.0;
+  s.submit(req);
+  s.sim().run_until(60.0);
+  ASSERT_TRUE(root_manager(s)->cluster()->emergency_active());
+  set_bound(s, 0.0);
+  s.sim().run_until(90.0);
+  EXPECT_FALSE(root_manager(s)->cluster()->emergency_active());
+  ASSERT_EQ(transitions.size(), 2u);
+  EXPECT_FALSE(transitions.back());
+  // The release restored the unconstrained shares.
+  for (int r = 0; r < 4; ++r) {
+    auto* mod = dynamic_cast<PowerManagerModule*>(
+        s.instance().broker(r).find_module("power-manager"));
+    EXPECT_DOUBLE_EQ(mod->node_limit_w(), 3050.0) << "rank " << r;
+  }
+}
+
+TEST_F(EmergencyTest, CheckArmedWhenBoundStartsUnconstrained) {
+  // A bound raised after load is defended like one set at load.
+  experiments::ScenarioConfig cfg;
+  cfg.nodes = 4;
+  cfg.load_manager = true;
+  cfg.manager.node_policy = NodePolicy::None;
+  cfg.manager.emergency_response = true;
+  cfg.manager.emergency_check_period_s = 10.0;
+  experiments::Scenario s(cfg);
+  experiments::JobRequest req;
+  req.kind = apps::AppKind::Gemm;
+  req.nnodes = 4;
+  req.work_scale = 1.0;
+  s.submit(req);
+  s.sim().run_until(30.0);
+  EXPECT_FALSE(root_manager(s)->cluster()->emergency_active());
+  set_bound(s, 4 * 900.0);
+  s.sim().run_until(80.0);
+  EXPECT_TRUE(root_manager(s)->cluster()->emergency_active());
 }
 
 TEST_F(EmergencyTest, CatchesWedgedGpusUnderFailureInjection) {

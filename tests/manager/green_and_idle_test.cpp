@@ -45,7 +45,7 @@ TEST_F(GreenJobTest, RequestCapsUnconstrainedAllocation) {
   build(0.0);  // unconstrained
   const flux::JobId id = submit("gemm", 4, 2.0, 900.0);
   scenario_->sim().run_until(10.0);
-  const auto& alloc = root_manager()->allocations().at(id);
+  const auto& alloc = root_manager()->cluster()->allocations().at(id);
   EXPECT_DOUBLE_EQ(alloc.node_power_w, 900.0);
   EXPECT_DOUBLE_EQ(alloc.job_power_w, 3600.0);
 }
@@ -56,12 +56,12 @@ TEST_F(GreenJobTest, WaterFillingRedistributesSurplus) {
   const flux::JobId green = submit("quicksilver", 2, 27.5, 600.0);
   const flux::JobId big = submit("gemm", 6, 2.0);
   scenario_->sim().run_until(10.0);
-  const auto& allocs = root_manager()->allocations();
+  const auto& allocs = root_manager()->cluster()->allocations();
   // Uniform share would be 1200; the green job pins at 600 and frees
   // 2 x 600 W, raising the big job to (9600 - 1200) / 6 = 1400.
   EXPECT_DOUBLE_EQ(allocs.at(green).node_power_w, 600.0);
   EXPECT_DOUBLE_EQ(allocs.at(big).node_power_w, 1400.0);
-  EXPECT_LE(root_manager()->allocated_power_w(), 9600.0 + 1e-6);
+  EXPECT_LE(root_manager()->cluster()->allocated_power_w(), 9600.0 + 1e-6);
 }
 
 TEST_F(GreenJobTest, RequestAboveShareIsIgnored) {
@@ -70,7 +70,7 @@ TEST_F(GreenJobTest, RequestAboveShareIsIgnored) {
   const flux::JobId a = submit("quicksilver", 2, 27.5, 2000.0);
   const flux::JobId b = submit("gemm", 6, 2.0);
   scenario_->sim().run_until(10.0);
-  const auto& allocs = root_manager()->allocations();
+  const auto& allocs = root_manager()->cluster()->allocations();
   EXPECT_DOUBLE_EQ(allocs.at(a).node_power_w, 1200.0);
   EXPECT_DOUBLE_EQ(allocs.at(b).node_power_w, 1200.0);
 }

@@ -33,6 +33,10 @@ class ManagerTest : public ::testing::Test {
         instance_->broker(rank).find_module("power-manager"));
   }
 
+  const FppNodePlugin& fpp_of(int rank) {
+    return dynamic_cast<const FppNodePlugin&>(module(rank)->node_plugin());
+  }
+
   flux::JobId submit(const char* app, int nnodes, double work_scale = 1.0) {
     flux::JobSpec spec;
     spec.name = app;
@@ -53,7 +57,7 @@ TEST_F(ManagerTest, UnconstrainedAllocatesPeakAndSetsNoCaps) {
   build(4, cfg);
   submit("gemm", 2);
   sim_.run_until(5.0);
-  const auto& allocs = module(0)->allocations();
+  const auto& allocs = module(0)->cluster()->allocations();
   ASSERT_EQ(allocs.size(), 1u);
   EXPECT_DOUBLE_EQ(allocs.begin()->second.node_power_w, 3050.0);
   EXPECT_DOUBLE_EQ(allocs.begin()->second.job_power_w, 6100.0);
@@ -71,13 +75,13 @@ TEST_F(ManagerTest, ProportionalSharingArithmetic) {
   const flux::JobId a = submit("gemm", 6, 2.0);
   const flux::JobId b = submit("quicksilver", 2, 27.5);
   sim_.run_until(15.0);
-  const auto& allocs = module(0)->allocations();
+  const auto& allocs = module(0)->cluster()->allocations();
   ASSERT_EQ(allocs.size(), 2u);
   EXPECT_DOUBLE_EQ(allocs.at(a).node_power_w, 1200.0);
   EXPECT_DOUBLE_EQ(allocs.at(a).job_power_w, 7200.0);
   EXPECT_DOUBLE_EQ(allocs.at(b).node_power_w, 1200.0);
   EXPECT_DOUBLE_EQ(allocs.at(b).job_power_w, 2400.0);
-  EXPECT_DOUBLE_EQ(module(0)->allocated_power_w(), 9600.0);
+  EXPECT_DOUBLE_EQ(module(0)->cluster()->allocated_power_w(), 9600.0);
 }
 
 TEST_F(ManagerTest, PowerReclaimedWhenJobFinishes) {
@@ -88,12 +92,12 @@ TEST_F(ManagerTest, PowerReclaimedWhenJobFinishes) {
   const flux::JobId a = submit("gemm", 6, 2.0);       // ~548 s
   const flux::JobId b = submit("quicksilver", 2, 4.0); // ~50 s
   sim_.run_until(20.0);
-  EXPECT_DOUBLE_EQ(module(0)->allocations().at(a).node_power_w, 1200.0);
+  EXPECT_DOUBLE_EQ(module(0)->cluster()->allocations().at(a).node_power_w, 1200.0);
   // Run past Quicksilver's completion: GEMM's 6 nodes now share 9600 W.
   while (!instance_->jobs().job(b).done() && sim_.step()) {
   }
   sim_.run_until(sim_.now() + 15.0);
-  const auto& allocs = module(0)->allocations();
+  const auto& allocs = module(0)->cluster()->allocations();
   ASSERT_EQ(allocs.size(), 1u);
   EXPECT_DOUBLE_EQ(allocs.at(a).node_power_w, 1600.0);
 }
@@ -106,7 +110,7 @@ TEST_F(ManagerTest, SmallJobGetsPeakWhenBoundAllows) {
   const flux::JobId a = submit("quicksilver", 2, 27.5);
   sim_.run_until(10.0);
   // 2 nodes x 3050 W = 6100 < 9600: peak per node.
-  EXPECT_DOUBLE_EQ(module(0)->allocations().at(a).node_power_w, 3050.0);
+  EXPECT_DOUBLE_EQ(module(0)->cluster()->allocations().at(a).node_power_w, 3050.0);
 }
 
 TEST_F(ManagerTest, NodeLimitPushedToNodeManagers) {
@@ -172,7 +176,7 @@ TEST_F(ManagerTest, FppControllersCreatedPerGpu) {
   cfg.cluster_power_bound_w = 9600.0;
   cfg.node_policy = NodePolicy::Fpp;
   build(8, cfg);
-  EXPECT_EQ(module(3)->fpp_controllers().size(), 4u);
+  EXPECT_EQ(fpp_of(3).controllers().size(), 4u);
 }
 
 TEST_F(ManagerTest, FppEventuallyCapsBelowBudgetForPhaseStableApp) {
@@ -183,7 +187,7 @@ TEST_F(ManagerTest, FppEventuallyCapsBelowBudgetForPhaseStableApp) {
   submit("quicksilver", 2, 40.0);  // long periodic job on ranks 0-1
   sim_.run_until(400.0);           // several 90 s control rounds
   // The exploratory probe reduced at least one GPU cap below the budget.
-  const auto& ctrls = module(0)->fpp_controllers();
+  const auto& ctrls = fpp_of(0).controllers();
   ASSERT_FALSE(ctrls.empty());
   int reduced = 0;
   for (const auto& c : ctrls) {
@@ -278,7 +282,7 @@ TEST_F(ManagerTest, UnloadWithLimitPushesInFlight) {
   build(4, cfg);
   submit("gemm", 4, 2.0);
   PowerManagerModule* root = module(0);
-  while (root->allocations().empty() && sim_.step()) {
+  while (root->cluster()->allocations().empty() && sim_.step()) {
   }
   flux::Broker& broker = instance_->broker(0);
   const auto pushes =
@@ -305,9 +309,9 @@ TEST_F(ManagerTest, UnloadWithStrikeRetryArmed) {
   instance_->broker(3).unload_module("power-manager");
   submit("gemm", 4, 2.0);
   PowerManagerModule* root = module(0);
-  while (!root->push_strikes().contains(3) && sim_.step()) {
+  while (!root->cluster()->push_strikes().contains(3) && sim_.step()) {
   }
-  ASSERT_TRUE(root->push_strikes().contains(3));
+  ASSERT_TRUE(root->cluster()->push_strikes().contains(3));
   flux::Broker& broker = instance_->broker(0);
   const auto pushes =
       broker.metrics().value("fluxpower_manager_limit_pushes_total");
@@ -316,6 +320,77 @@ TEST_F(ManagerTest, UnloadWithStrikeRetryArmed) {
   sim_.run_until(sim_.now() + 2.0 * cfg.push_timeout_s);
   EXPECT_EQ(broker.metrics().value("fluxpower_manager_limit_pushes_total"),
             pushes);
+}
+
+// A quarantined rank's recovery probe is a timer that captures the root's
+// cluster manager, which the unload destroys.
+TEST_F(ManagerTest, UnloadWithQuarantineProbeArmed) {
+  PowerManagerConfig cfg;
+  cfg.cluster_power_bound_w = 4 * 1200.0;
+  cfg.node_policy = NodePolicy::DirectGpuBudget;
+  build(4, cfg);
+  instance_->broker(3).unload_module("power-manager");
+  submit("gemm", 4, 2.0);
+  PowerManagerModule* root = module(0);
+  while (!root->cluster()->quarantined().contains(3) && sim_.step()) {
+  }
+  ASSERT_TRUE(root->cluster()->quarantined().contains(3));
+  flux::Broker& broker = instance_->broker(0);
+  const auto pushes =
+      broker.metrics().value("fluxpower_manager_limit_pushes_total");
+  broker.unload_module("power-manager");
+
+  sim_.run_until(sim_.now() + 2.0 * cfg.quarantine_probe_s);
+  EXPECT_EQ(broker.metrics().value("fluxpower_manager_limit_pushes_total"),
+            pushes);
+}
+
+// The emergency check's node-status round holds one response handler per
+// rank; unloading the root's manager while they are outstanding must leave
+// them inert: no engagement, no deep-limit wave.
+TEST_F(ManagerTest, UnloadWithEmergencyRoundInFlight) {
+  PowerManagerConfig cfg;
+  cfg.cluster_power_bound_w = 4 * 900.0;  // below the uncapped draw
+  cfg.emergency_response = true;
+  cfg.emergency_check_period_s = 10.0;
+  cfg.emergency_consecutive = 1;  // this round alone would engage
+  build(4, cfg);
+  submit("gemm", 4, 2.0);
+  int emergency_events = 0;
+  instance_->broker(1).subscribe_event(
+      "power-manager.emergency",
+      [&](const flux::Message&) { ++emergency_events; });
+  flux::Broker& broker = instance_->broker(0);
+  while (!(sim_.now() >= cfg.emergency_check_period_s &&
+           broker.pending_rpc_count() > 0) &&
+         sim_.step()) {
+  }
+  ASSERT_GT(broker.pending_rpc_count(), 0u);
+  const auto pushes =
+      broker.metrics().value("fluxpower_manager_limit_pushes_total");
+  broker.unload_module("power-manager");
+
+  sim_.run_until(sim_.now() + 10.0);
+  EXPECT_EQ(broker.pending_rpc_count(), 0u);
+  EXPECT_EQ(emergency_events, 0);
+  EXPECT_EQ(broker.metrics().value("fluxpower_manager_limit_pushes_total"),
+            pushes);
+}
+
+// The cluster- and job-level manager lives on the root only.
+TEST_F(ManagerTest, ClusterManagerOnlyOnRoot) {
+  PowerManagerConfig cfg;
+  cfg.cluster_power_bound_w = 4 * 1200.0;
+  build(4, cfg);
+  ASSERT_NE(module(0)->cluster(), nullptr);
+  EXPECT_TRUE(instance_->broker(0).has_service(kClusterStatusTopic));
+  for (int r = 1; r < 4; ++r) {
+    EXPECT_EQ(module(r)->cluster(), nullptr) << "rank " << r;
+    EXPECT_FALSE(instance_->broker(r).has_service(kClusterStatusTopic));
+    EXPECT_TRUE(instance_->broker(r).has_service(kSetNodeLimitTopic));
+  }
+  instance_->broker(0).unload_module("power-manager");
+  EXPECT_FALSE(instance_->broker(0).has_service(kHistoryTopic));
 }
 
 TEST(ManagerConfig, RejectsQuarantineThresholdBelowOne) {

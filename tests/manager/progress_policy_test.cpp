@@ -21,9 +21,11 @@ class ProgressPolicyTest : public ::testing::Test {
     return std::make_unique<experiments::Scenario>(cfg);
   }
 
-  static PowerManagerModule* manager_on(experiments::Scenario& s, int rank) {
-    return dynamic_cast<PowerManagerModule*>(
+  static const ProgressNodePlugin& plugin_on(experiments::Scenario& s,
+                                             int rank) {
+    auto* mod = dynamic_cast<PowerManagerModule*>(
         s.instance().broker(rank).find_module("power-manager"));
+    return dynamic_cast<const ProgressNodePlugin&>(mod->node_plugin());
   }
 };
 
@@ -37,9 +39,7 @@ TEST_F(ProgressPolicyTest, InsensitiveAppGetsCappedToFloor) {
   req.work_scale = 40.0;  // ~500 s, many control rounds
   const flux::JobId id = s->submit(req);
   s->sim().run_until(400.0);
-  auto* mod = manager_on(*s, 0);
-  ASSERT_NE(mod, nullptr);
-  EXPECT_GT(mod->progress_rate(), 0.0);
+  EXPECT_GT(plugin_on(*s, 0).rate(), 0.0);
   // Probing reached well below the initial budget.
   const auto cap = s->cluster().node(0).gpu_power_cap(0);
   ASSERT_TRUE(cap.has_value());
@@ -61,8 +61,7 @@ TEST_F(ProgressPolicyTest, ComputeBoundAppKeepsItsPower) {
   auto res = s->run();
   // Total slowdown vs nominal stays small: the guard restored power.
   EXPECT_LT(res.job(id).runtime_s, 1.12 * 411.0);
-  auto* mod = manager_on(*s, 0);
-  EXPECT_TRUE(mod->progress_holding());
+  EXPECT_TRUE(plugin_on(*s, 0).holding());
 }
 
 TEST_F(ProgressPolicyTest, SavesEnergyOnInsensitiveApp) {
@@ -99,8 +98,7 @@ TEST_F(ProgressPolicyTest, NoProgressSignalFallsBackToBudget) {
   req.work_scale = 0.5;
   const flux::JobId id = s.submit(req);
   s.sim().run_until(60.0);
-  auto* mod = manager_on(s, 0);
-  EXPECT_LT(mod->progress_rate(), 0.0);  // never saw a signal
+  EXPECT_LT(plugin_on(s, 0).rate(), 0.0);  // never saw a signal
   const auto cap = s.cluster().node(0).gpu_power_cap(0);
   ASSERT_TRUE(cap.has_value());
   EXPECT_GT(*cap, 100.0);  // budget-level, not floor

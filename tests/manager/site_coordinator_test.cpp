@@ -47,7 +47,7 @@ class SiteCoordinatorTest : public ::testing::Test {
   static double bound_of(Site& site) {
     auto* mod = dynamic_cast<PowerManagerModule*>(
         site.instance->broker(0).find_module("power-manager"));
-    return mod->config().cluster_power_bound_w;
+    return mod->cluster()->bound_w();
   }
 
   sim::Simulation sim_;

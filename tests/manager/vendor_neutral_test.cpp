@@ -101,7 +101,9 @@ TEST(VendorNeutralManager, SocketFppOnArm) {
     auto* mod = dynamic_cast<manager::PowerManagerModule*>(
         s.instance().broker(0).find_module("power-manager"));
     ASSERT_NE(mod, nullptr);
-    ASSERT_EQ(mod->fpp_controllers().size(), 1u);  // one per socket
+    const auto& fpp =
+        dynamic_cast<const manager::FppNodePlugin&>(mod->node_plugin());
+    ASSERT_EQ(fpp.controllers().size(), 1u);  // one per socket
     saw_controllers = true;
     const auto cap = s.cluster().node(0).socket_power_cap(0);
     ASSERT_TRUE(cap.has_value());

@@ -158,7 +158,9 @@ TEST(FppWelchIntegration, WelchEstimatorDrivesFpp) {
   auto* mod = dynamic_cast<manager::PowerManagerModule*>(
       s.instance().broker(0).find_module("power-manager"));
   int reductions = 0;
-  for (const auto& c : mod->fpp_controllers()) reductions += c->reductions();
+  const auto& fpp =
+      dynamic_cast<const manager::FppNodePlugin&>(mod->node_plugin());
+  for (const auto& c : fpp.controllers()) reductions += c->reductions();
   EXPECT_GT(reductions, 0);
 }
 

@@ -92,11 +92,12 @@ RunSummary run_and_check(std::uint64_t seed) {
       s.instance().root().find_module("power-manager"));
   EXPECT_NE(root_pm, nullptr);
   if (root_pm == nullptr) return {};
-  for (flux::Rank r : root_pm->quarantined()) {
+  const manager::ClusterManager& cluster = *root_pm->cluster();
+  for (flux::Rank r : cluster.quarantined()) {
     EXPECT_GE(r, 0);
     EXPECT_LT(r, kNodes);
   }
-  EXPECT_GE(root_pm->quarantine_events(), root_pm->quarantined().size());
+  EXPECT_GE(cluster.quarantine_events(), cluster.quarantined().size());
 
   // Calm the weather, then verify per-rank sweep accounting through the
   // status topic (loopback RPC): every sweep is in exactly one bucket.
@@ -106,7 +107,7 @@ RunSummary run_and_check(std::uint64_t seed) {
   RunSummary summary;
   summary.makespan_s = res.makespan_s;
   summary.counters = plane->counters();
-  summary.quarantine_events = root_pm->quarantine_events();
+  summary.quarantine_events = cluster.quarantine_events();
   plane->detach();
 
   for (int r = 0; r < kNodes; ++r) {
@@ -207,8 +208,8 @@ TEST(ChaosTimeTravel, ReplayedFaultWindowIsIdentical) {
       Outcome out;
       out.makespan_s = res.makespan_s;
       out.counters = s.fault_plane()->counters();
-      out.quarantine_events = pm->quarantine_events();
-      const auto& q = pm->quarantined();
+      out.quarantine_events = pm->cluster()->quarantine_events();
+      const auto& q = pm->cluster()->quarantined();
       out.quarantined.insert(q.begin(), q.end());
       return out;
     };

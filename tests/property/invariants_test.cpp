@@ -293,7 +293,7 @@ TEST_P(ProportionalSharing, AllocationsUniformAndBounded) {
   ASSERT_NE(mod, nullptr);
   const double bound = cfg.manager.cluster_power_bound_w;
   sim::PeriodicTask probe(s.sim(), 7.0, [&] {
-    const auto& allocs = mod->allocations();
+    const auto& allocs = mod->cluster()->allocations();
     double per_node = -1.0;
     int total_nodes = 0;
     for (const auto& [id, alloc] : allocs) {
@@ -304,7 +304,7 @@ TEST_P(ProportionalSharing, AllocationsUniformAndBounded) {
                        alloc.node_power_w * alloc.ranks.size());
     }
     if (total_nodes > 0 && 3050.0 * total_nodes > bound) {
-      EXPECT_LE(mod->allocated_power_w(), bound + 1e-6);
+      EXPECT_LE(mod->cluster()->allocated_power_w(), bound + 1e-6);
     }
     return true;
   });

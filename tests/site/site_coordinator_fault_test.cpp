@@ -62,7 +62,7 @@ class SiteFaultTest : public ::testing::Test {
   static double bound_of(Site& site) {
     auto* mod = dynamic_cast<PowerManagerModule*>(
         site.instance->broker(0).find_module("power-manager"));
-    return mod != nullptr ? mod->config().cluster_power_bound_w : -1.0;
+    return mod != nullptr ? mod->cluster()->bound_w() : -1.0;
   }
 
   sim::Simulation sim_;

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "twin/fork.hpp"
@@ -244,20 +245,60 @@ TEST(DigestSensitivity, WheelEpochRebaseCounterIsCovered) {
   EXPECT_EQ(r.u64(), sim.wheel_rebases());
 }
 
+/// Rank `rank`'s node-plugin blob, read by position from the POL section.
+std::vector<std::uint8_t> node_plugin_blob(const StateImage& image,
+                                           std::uint32_t rank,
+                                           const std::string& plugin) {
+  const StateSection* pol = image.find(kTagPol);
+  if (pol == nullptr) throw CodecError("no POL section");
+  ByteReader r(pol->bytes);
+  r.str();  // scheduler policy
+  r.f64();  // admitted power
+  for (std::uint32_t n = r.u32(); n > 0; --n) {
+    r.u64();
+    r.f64();
+  }
+  for (std::uint32_t n = r.u32(); n > 0; --n) r.u64();  // queue
+  r.raw(r.u32());                                        // scheduler blob
+  const std::uint32_t ranks = r.u32();
+  for (std::uint32_t i = 0; i < ranks; ++i) {
+    if (!r.boolean()) continue;
+    const std::string name = r.str();
+    const auto blob = r.raw(r.u32());
+    if (i == rank) {
+      if (name != plugin) throw CodecError("rank runs " + name);
+      return {blob.begin(), blob.end()};
+    }
+  }
+  throw CodecError("rank not in POL");
+}
+
 TEST(DigestSensitivity, FppControlRotationIsCovered) {
   // Under stagger_probes the per-node rotation position decides which GPU
   // controller probes next; losing it on restore would desynchronize every
-  // later cap decision. Verify the MGR section moves across a control round.
+  // later cap decision. The FPP plugin's POL blob carries it: FFT ticks run
+  // every 30 s and every third one (t = 90 s) is a control round, which
+  // advances the rotation and restarts the time since control.
   TwinSession session(small_spec(false));
-  session.advance_to(60.0);
-  const StateImage at60 = capture_state(session.scenario());
-  session.advance_to(400.0);  // several 90 s FPP rounds later
-  const StateImage at400 = capture_state(session.scenario());
-  const StateSection* a = at60.find(kTagMgr);
-  const StateSection* b = at400.find(kTagMgr);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_NE(a->digest, b->digest);
+  session.advance_to(80.0);
+  const StateImage before = capture_state(session.scenario());
+  session.advance_to(100.0);
+  const StateImage after = capture_state(session.scenario());
+
+  const std::vector<std::uint8_t> a = node_plugin_blob(before, 0, "fpp");
+  const std::vector<std::uint8_t> b = node_plugin_blob(after, 0, "fpp");
+  ByteReader ra(a);
+  ByteReader rb(b);
+  const std::uint64_t round_before = ra.u64();
+  const double since_before = ra.f64();
+  const std::uint64_t round_after = rb.u64();
+  const double since_after = rb.f64();
+  EXPECT_TRUE(ra.done());
+  EXPECT_TRUE(rb.done());
+  EXPECT_EQ(round_after, round_before + 1);
+  EXPECT_DOUBLE_EQ(since_before, 60.0);
+  EXPECT_DOUBLE_EQ(since_after, 0.0);
+  EXPECT_NE(before.find(kTagPol)->digest, after.find(kTagPol)->digest);
 }
 
 TEST(DigestSensitivity, MonitorRingContentIsCovered) {
