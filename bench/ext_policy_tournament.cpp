@@ -14,7 +14,7 @@
 //   * fairness — per-job slowdown spread (max - min of runtime vs the
 //     unconstrained FCFS baseline, keyed by submission index): a policy
 //     that starves one job to speed the rest scores wide.
-// Results also land in BENCH_policy.json for the CI bench-smoke lane.
+// Full scores also land in BENCH_policy.json in the working directory.
 #include <cstdio>
 #include <iostream>
 #include <map>

@@ -10,7 +10,7 @@
 // original submit time — deferral is never free), and how many minutes the
 // site spends above its facility bound.
 //
-// Results also land in BENCH_site.json for the CI bench-smoke lane.
+// Full scores also land in BENCH_site.json in the working directory.
 #include <iostream>
 
 #include "bench/common.hpp"

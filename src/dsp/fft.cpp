@@ -16,7 +16,7 @@ std::size_t next_power_of_two(std::size_t n) {
   return p;
 }
 
-void fft_radix2(std::span<Complex> data, bool inverse) {
+void fft_radix2(std::span<Complex> data) {
   const std::size_t n = data.size();
   if (!is_power_of_two(n)) {
     throw std::invalid_argument("fft_radix2: size must be a power of two");
@@ -33,7 +33,7 @@ void fft_radix2(std::span<Complex> data, bool inverse) {
 
   // Butterfly passes.
   for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double angle = (inverse ? kTwoPi : -kTwoPi) / static_cast<double>(len);
+    const double angle = -kTwoPi / static_cast<double>(len);
     const Complex wlen(std::cos(angle), std::sin(angle));
     for (std::size_t i = 0; i < n; i += len) {
       Complex w(1.0, 0.0);
@@ -48,84 +48,12 @@ void fft_radix2(std::span<Complex> data, bool inverse) {
   }
 }
 
-namespace {
-
-/// Bluestein's algorithm: express an N-point DFT as a convolution, which is
-/// evaluated with zero-padded radix-2 FFTs of length M >= 2N-1.
-std::vector<Complex> fft_bluestein(std::span<const Complex> input) {
-  const std::size_t n = input.size();
-  const std::size_t m = next_power_of_two(2 * n - 1);
-
-  // Chirp sequence w_k = exp(-i*pi*k^2/n). Index k^2 is reduced mod 2n to
-  // avoid precision loss for large k.
-  std::vector<Complex> chirp(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t k2 = (k * k) % (2 * n);
-    const double angle = -std::numbers::pi * static_cast<double>(k2) /
-                         static_cast<double>(n);
-    chirp[k] = Complex(std::cos(angle), std::sin(angle));
-  }
-
-  std::vector<Complex> a(m, Complex{});
-  for (std::size_t k = 0; k < n; ++k) a[k] = input[k] * chirp[k];
-
-  std::vector<Complex> b(m, Complex{});
-  b[0] = std::conj(chirp[0]);
-  for (std::size_t k = 1; k < n; ++k) {
-    b[k] = std::conj(chirp[k]);
-    b[m - k] = b[k];  // circular symmetry
-  }
-
-  fft_radix2(a);
-  fft_radix2(b);
-  for (std::size_t i = 0; i < m; ++i) a[i] *= b[i];
-  fft_radix2(a, /*inverse=*/true);
-  const double scale = 1.0 / static_cast<double>(m);
-
-  std::vector<Complex> out(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    out[k] = a[k] * scale * chirp[k];
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<Complex> fft(std::span<const Complex> input) {
-  if (input.empty()) return {};
-  std::vector<Complex> data(input.begin(), input.end());
-  if (is_power_of_two(data.size())) {
-    fft_radix2(data);
-    return data;
-  }
-  return fft_bluestein(input);
-}
-
-std::vector<Complex> ifft(std::span<const Complex> input) {
-  if (input.empty()) return {};
-  // IFFT(x) = conj(FFT(conj(x))) / N — reuses the forward path for both the
-  // radix-2 and Bluestein branches.
-  std::vector<Complex> conj_in(input.size());
-  for (std::size_t i = 0; i < input.size(); ++i) conj_in[i] = std::conj(input[i]);
-  std::vector<Complex> spectrum = fft(conj_in);
-  const double scale = 1.0 / static_cast<double>(input.size());
-  for (Complex& c : spectrum) c = std::conj(c) * scale;
-  return spectrum;
-}
-
-std::vector<Complex> fft_real(std::span<const double> input) {
-  std::vector<Complex> data(input.size());
-  for (std::size_t i = 0; i < input.size(); ++i) data[i] = Complex(input[i], 0.0);
-  return fft(data);
-}
-
 std::vector<double> power_spectrum(std::span<const double> input) {
-  const std::vector<Complex> spectrum = fft_real(input);
+  std::vector<Complex> spectrum(input.begin(), input.end());
+  fft_radix2(spectrum);
   const std::size_t half = input.size() / 2;
   std::vector<double> out(half + 1);
-  for (std::size_t k = 0; k <= half && k < spectrum.size(); ++k) {
-    out[k] = std::norm(spectrum[k]);
-  }
+  for (std::size_t k = 0; k <= half; ++k) out[k] = std::norm(spectrum[k]);
   return out;
 }
 

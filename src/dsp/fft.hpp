@@ -1,11 +1,10 @@
-// fft.hpp — fast Fourier transform kernels.
+// fft.hpp — fast Fourier transform kernel.
 //
 // FPP (the paper's FFT-based power policy, Algorithm 1) identifies an
 // application's phase period from its sampled power signal. The estimator
-// needs a transform for arbitrary sample counts: the node-agent delivers
-// however many samples accumulated in the 30 s window, which is rarely a
-// power of two. We provide an iterative radix-2 Cooley–Tukey kernel plus
-// Bluestein's chirp-z algorithm for general N.
+// zero-pads every window to a power of two (at least 8x the sample count,
+// for fine frequency resolution), so one iterative radix-2 Cooley–Tukey
+// kernel is the only transform it needs.
 #pragma once
 
 #include <complex>
@@ -25,21 +24,12 @@ constexpr bool is_power_of_two(std::size_t n) {
 /// Smallest power of two >= n.
 std::size_t next_power_of_two(std::size_t n);
 
-/// In-place iterative radix-2 DIT FFT. data.size() must be a power of two.
-/// `inverse` applies the conjugate transform *without* the 1/N scaling;
-/// callers that need a round trip use ifft() below.
-void fft_radix2(std::span<Complex> data, bool inverse = false);
+/// In-place iterative radix-2 DIT forward FFT. Throws std::invalid_argument
+/// unless data.size() is a power of two.
+void fft_radix2(std::span<Complex> data);
 
-/// FFT for arbitrary N via Bluestein; dispatches to radix-2 when possible.
-std::vector<Complex> fft(std::span<const Complex> input);
-
-/// Inverse FFT (includes the 1/N scaling).
-std::vector<Complex> ifft(std::span<const Complex> input);
-
-/// FFT of a real signal; returns the full complex spectrum (size N).
-std::vector<Complex> fft_real(std::span<const double> input);
-
-/// Power spectrum |X_k|^2 for k = 0..N/2 of a real signal.
+/// Power spectrum |X_k|^2 for k = 0..N/2 of a real signal. Throws
+/// std::invalid_argument unless input.size() is a power of two.
 std::vector<double> power_spectrum(std::span<const double> input);
 
 }  // namespace fluxpower::dsp

@@ -64,7 +64,7 @@ std::vector<double> autocorrelation(std::span<const double> xs) {
     // Unbiased normalization by the number of overlapping terms.
     acf[lag] = acc / static_cast<double>(n - lag);
   }
-  if (acf[0] > 0.0) {
+  if (!acf.empty() && acf[0] > 0.0) {
     const double norm = acf[0];
     for (double& v : acf) v /= norm;
   }
@@ -73,8 +73,60 @@ std::vector<double> autocorrelation(std::span<const double> xs) {
 
 namespace {
 
-// Internal estimators take the signal by value: the copying entry point
-// passes a fresh vector, the consuming entry point moves the caller's
+// Period estimate from the dominant peak of the one-sided power spectrum
+// of `window` samples taken every `dt_s` seconds and zero-padded to
+// `padded`.
+std::optional<PeriodEstimate> pick_spectral_peak(std::span<const double> spec,
+                                                 std::size_t window,
+                                                 std::size_t padded,
+                                                 double dt_s) {
+  // Dominant non-DC bin. Skip bins whose period exceeds the observation
+  // window: they are untrustworthy extrapolations of leakage.
+  const double window_s = static_cast<double>(window) * dt_s;
+  const double df = 1.0 / (static_cast<double>(padded) * dt_s);
+  std::size_t best = 0;
+  double best_val = 0.0;
+  double total = 0.0;
+  for (std::size_t k = 1; k < spec.size(); ++k) {
+    total += spec[k];
+    if (static_cast<double>(k) * df < 1.0 / window_s) continue;
+    if (spec[k] > best_val) {
+      best_val = spec[k];
+      best = k;
+    }
+  }
+  if (best == 0 || total <= 0.0) return std::nullopt;
+
+  // Parabolic interpolation around the peak for sub-bin accuracy.
+  double delta = 0.0;
+  if (best + 1 < spec.size()) {
+    const double y0 = spec[best - 1];
+    const double y1 = spec[best];
+    const double y2 = spec[best + 1];
+    const double denom = y0 - 2.0 * y1 + y2;
+    if (std::abs(denom) > 1e-30) {
+      delta = std::clamp(0.5 * (y0 - y2) / denom, -0.5, 0.5);
+    }
+  }
+
+  PeriodEstimate est;
+  est.frequency_hz = (static_cast<double>(best) + delta) * df;
+  est.period_s = 1.0 / est.frequency_hz;
+  // Significance: spectral mass inside the peak's main lobe. Zero-padding
+  // by `pad_factor` widens every lobe proportionally, and the Hann window's
+  // main lobe spans 4 unpadded bins.
+  const std::size_t pad_factor = padded / window;
+  const std::size_t half_width = 2 * pad_factor;
+  double neighborhood = 0.0;
+  const std::size_t lo = best > half_width ? best - half_width : 1;
+  const std::size_t hi = std::min(best + half_width, spec.size() - 1);
+  for (std::size_t k = lo; k <= hi; ++k) neighborhood += spec[k];
+  est.significance = std::min(1.0, neighborhood / total);
+  return est;
+}
+
+// The periodogram estimators take the signal by value: the copying entry
+// point passes a fresh vector, the consuming entry point moves the caller's
 // buffer in — either way the arithmetic below sees the same values in the
 // same order, so the two paths are bit-identical.
 std::optional<PeriodEstimate> find_period_periodogram(std::vector<double> x,
@@ -95,54 +147,7 @@ std::optional<PeriodEstimate> find_period_periodogram(std::vector<double> x,
   const std::size_t padded = next_power_of_two(8 * x.size());
   x.resize(padded, 0.0);
 
-  const std::vector<double> spec = power_spectrum(x);
-
-  // Dominant non-DC bin. Skip bins whose period exceeds the observation
-  // window: they are untrustworthy extrapolations of leakage.
-  const double window_s = static_cast<double>(n_samples) * dt_s;
-  const double df = 1.0 / (static_cast<double>(padded) * dt_s);
-  std::size_t best = 0;
-  double best_val = 0.0;
-  double total = 0.0;
-  for (std::size_t k = 1; k < spec.size(); ++k) {
-    total += spec[k];
-    const double freq = static_cast<double>(k) * df;
-    if (freq < 1.0 / window_s) continue;
-    if (spec[k] > best_val) {
-      best_val = spec[k];
-      best = k;
-    }
-  }
-  if (best == 0 || total <= 0.0) return std::nullopt;
-
-  // Parabolic interpolation around the peak for sub-bin accuracy.
-  double delta = 0.0;
-  if (best > 0 && best + 1 < spec.size()) {
-    const double y0 = spec[best - 1];
-    const double y1 = spec[best];
-    const double y2 = spec[best + 1];
-    const double denom = y0 - 2.0 * y1 + y2;
-    if (std::abs(denom) > 1e-30) {
-      delta = 0.5 * (y0 - y2) / denom;
-      delta = std::clamp(delta, -0.5, 0.5);
-    }
-  }
-  const double freq = (static_cast<double>(best) + delta) * df;
-
-  PeriodEstimate est;
-  est.frequency_hz = freq;
-  est.period_s = 1.0 / freq;
-  // Significance: spectral mass inside the peak's main lobe. Zero-padding
-  // by `pad_factor` widens every lobe proportionally, and the Hann window's
-  // main lobe spans 4 unpadded bins.
-  const std::size_t pad_factor = padded / n_samples;
-  const std::size_t half_width = 2 * pad_factor;
-  double neighborhood = 0.0;
-  const std::size_t lo = best > half_width ? best - half_width : 1;
-  const std::size_t hi = std::min(best + half_width, spec.size() - 1);
-  for (std::size_t k = lo; k <= hi; ++k) neighborhood += spec[k];
-  est.significance = std::min(1.0, neighborhood / total);
-  return est;
+  return pick_spectral_peak(power_spectrum(x), n_samples, padded, dt_s);
 }
 
 std::optional<PeriodEstimate> find_period_welch(std::vector<double> detrended,
@@ -161,7 +166,6 @@ std::optional<PeriodEstimate> find_period_welch(std::vector<double> detrended,
 
   const std::size_t padded = next_power_of_two(8 * seg);
   std::vector<double> avg(padded / 2 + 1, 0.0);
-  int segments = 0;
   for (std::size_t start = 0; start + seg <= n; start += seg / 2) {
     std::vector<double> x(detrended.begin() + static_cast<long>(start),
                           detrended.begin() + static_cast<long>(start + seg));
@@ -169,66 +173,14 @@ std::optional<PeriodEstimate> find_period_welch(std::vector<double> detrended,
     hann_window(x);
     x.resize(padded, 0.0);
     const std::vector<double> spec = power_spectrum(x);
-    for (std::size_t k = 0; k < avg.size() && k < spec.size(); ++k) {
-      avg[k] += spec[k];
-    }
-    ++segments;
+    for (std::size_t k = 0; k < avg.size(); ++k) avg[k] += spec[k];
   }
-  if (segments == 0) return std::nullopt;
-
-  const double window_s = static_cast<double>(seg) * dt_s;
-  const double df = 1.0 / (static_cast<double>(padded) * dt_s);
-  std::size_t best = 0;
-  double best_val = 0.0, total = 0.0;
-  for (std::size_t k = 1; k < avg.size(); ++k) {
-    total += avg[k];
-    if (static_cast<double>(k) * df < 1.0 / window_s) continue;
-    if (avg[k] > best_val) {
-      best_val = avg[k];
-      best = k;
-    }
-  }
-  if (best == 0 || total <= 0.0) return std::nullopt;
-
-  double delta = 0.0;
-  if (best > 0 && best + 1 < avg.size()) {
-    const double denom = avg[best - 1] - 2.0 * avg[best] + avg[best + 1];
-    if (std::abs(denom) > 1e-30) {
-      delta = std::clamp(0.5 * (avg[best - 1] - avg[best + 1]) / denom, -0.5,
-                         0.5);
-    }
-  }
-  PeriodEstimate est;
-  est.frequency_hz = (static_cast<double>(best) + delta) * df;
-  est.period_s = 1.0 / est.frequency_hz;
-  const std::size_t pad_factor = padded / seg;
-  const std::size_t half_width = 2 * pad_factor;
-  double neighborhood = 0.0;
-  const std::size_t lo = best > half_width ? best - half_width : 1;
-  const std::size_t hi = std::min(best + half_width, avg.size() - 1);
-  for (std::size_t k = lo; k <= hi; ++k) neighborhood += avg[k];
-  est.significance = std::min(1.0, neighborhood / total);
-  return est;
+  return pick_spectral_peak(avg, seg, padded, dt_s);
 }
 
-std::optional<PeriodEstimate> find_period_acf(std::vector<double> x,
+std::optional<PeriodEstimate> find_period_acf(std::span<const double> x,
                                               double dt_s) {
-  // Same arithmetic as autocorrelation(), with `x` as the detrend scratch.
-  remove_mean(x);
-  const std::size_t nx = x.size();
-  std::vector<double> acf(nx, 0.0);
-  for (std::size_t lag = 0; lag < nx; ++lag) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i + lag < nx; ++i) {
-      acc += x[i] * x[i + lag];
-    }
-    acf[lag] = acc / static_cast<double>(nx - lag);
-  }
-  if (!acf.empty() && acf[0] > 0.0) {
-    const double norm = acf[0];
-    for (double& v : acf) v /= norm;
-  }
-  if (acf.size() < 4) return std::nullopt;
+  const std::vector<double> acf = autocorrelation(x);
 
   // First local maximum after the zero-lag peak with positive correlation.
   std::size_t best = 0;
@@ -261,7 +213,7 @@ std::optional<PeriodEstimate> find_period_impl(std::vector<double> x,
     case PeriodMethod::RawPeriodogram:
       return find_period_periodogram(std::move(x), dt_s, /*windowed=*/false);
     case PeriodMethod::Autocorrelation:
-      return find_period_acf(std::move(x), dt_s);
+      return find_period_acf(x, dt_s);
     case PeriodMethod::WelchPeriodogram:
       return find_period_welch(std::move(x), dt_s);
   }

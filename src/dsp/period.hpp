@@ -62,16 +62,15 @@ std::optional<PeriodEstimate> find_period(
 
 /// Same estimator, but uses `samples` itself as the transform scratch
 /// instead of copying into one: the signal is detrended/windowed/padded in
-/// place and its contents are clobbered. Callers that discard the buffer
-/// right after estimating (FPP resets its FFT buffer every control round)
-/// and columnar-store consumers that already materialized a watt column
-/// save the copy. Results are bit-identical to find_period on the same
-/// input — the copy was the only difference.
+/// place and its contents are clobbered. FPP, which resets its FFT buffer
+/// every control round, saves the copy. Results are bit-identical to
+/// find_period on the same input — the copy was the only difference.
 std::optional<PeriodEstimate> find_period_consume(
     std::vector<double>& samples, double dt_s,
     PeriodMethod method = PeriodMethod::HannPeriodogram);
 
-/// Unbiased autocorrelation of a detrended signal, lags 0..n-1.
+/// Unbiased autocorrelation of a detrended signal, lags 0..n-1 (empty for
+/// an empty signal).
 std::vector<double> autocorrelation(std::span<const double> xs);
 
 }  // namespace fluxpower::dsp

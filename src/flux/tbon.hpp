@@ -5,7 +5,7 @@
 // simulator charges a fixed latency per hop, which makes telemetry
 // aggregation latency scale with tree depth (O(log_k N)) exactly as the
 // paper's scalability argument requires. Fanout is ablated in
-// bench/micro_tbon.
+// bench/ablation_tbon.
 #pragma once
 
 #include <vector>

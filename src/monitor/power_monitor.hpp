@@ -14,11 +14,11 @@
 //
 // The buffer is a columnar (structure-of-arrays) ring: per-domain watt
 // columns, a timestamp column and presence flags (see sample_store.hpp),
-// so window lookups are binary searches and stats/percentile sweeps run
-// unit-stride. Samples materialize back to `hwsim::PowerSample` at the
-// accessor boundary, and the TBON subtree merge ships typed batches by
-// pointer. Every telemetry answer is a typed batch; JSON is rendered only
-// at the edges: for the live sample stream and at the codec/wire boundary.
+// so window lookups are binary searches over the timestamp column.
+// Samples materialize back to `hwsim::PowerSample` at the accessor
+// boundary, and the TBON subtree merge ships typed batches by pointer.
+// Every telemetry answer is a typed batch; JSON is rendered only at the
+// edges: for the live sample stream and at the codec/wire boundary.
 // The edge JSON is byte-identical to the old JSON-everywhere data plane
 // (see DESIGN.md, "Telemetry data plane").
 //

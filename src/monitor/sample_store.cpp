@@ -57,7 +57,6 @@ void ColumnarSampleStore::relayout(std::size_t slot_cap,
 void ColumnarSampleStore::assign_slot(std::size_t p,
                                       const hwsim::PowerSample& s) {
   column(kTimestamp)[p] = s.timestamp_s;
-  column(kBestW)[p] = s.best_node_w();
   column(kNodeW)[p] = s.node_w.watts;
   column(kEstimateW)[p] = s.node_estimate_w.watts;
   column(kMemW)[p] = s.mem_w.watts;
@@ -128,11 +127,6 @@ double ColumnarSampleStore::timestamp_at(std::size_t i) const {
   return column(kTimestamp)[phys(i)];
 }
 
-double ColumnarSampleStore::best_w_at(std::size_t i) const {
-  if (i >= size_) throw std::out_of_range("ColumnarSampleStore index");
-  return column(kBestW)[phys(i)];
-}
-
 std::pair<std::size_t, std::size_t> ColumnarSampleStore::window_range(
     double start_s, double end_s) const {
   // Timestamps are monotone non-decreasing in logical order, so the window
@@ -161,48 +155,6 @@ std::pair<std::size_t, std::size_t> ColumnarSampleStore::window_range(
   return {lo, a};
 }
 
-ColumnarSampleStore::Segments ColumnarSampleStore::best_w_segments(
-    std::size_t lo, std::size_t hi) const {
-  if (hi > size_ || lo > hi) throw std::out_of_range("segment range");
-  Segments seg;
-  if (lo == hi) return seg;
-  const double* col = column(kBestW);
-  const std::size_t p0 = phys(lo);
-  const std::size_t n = hi - lo;
-  const std::size_t first_len = std::min(n, capacity_ - p0);
-  seg.first = {col + p0, first_len};
-  seg.second = {col, n - first_len};
-  return seg;
-}
-
-ColumnarSampleStore::Segments ColumnarSampleStore::timestamp_segments(
-    std::size_t lo, std::size_t hi) const {
-  if (hi > size_ || lo > hi) throw std::out_of_range("segment range");
-  Segments seg;
-  if (lo == hi) return seg;
-  const double* col = column(kTimestamp);
-  const std::size_t p0 = phys(lo);
-  const std::size_t n = hi - lo;
-  const std::size_t first_len = std::min(n, capacity_ - p0);
-  seg.first = {col + p0, first_len};
-  seg.second = {col, n - first_len};
-  return seg;
-}
-
-void ColumnarSampleStore::copy_best_w(std::size_t lo, std::size_t hi,
-                                      std::vector<double>& out) const {
-  const Segments seg = best_w_segments(lo, hi);
-  out.resize(seg.size());
-  if (!seg.first.empty()) {
-    std::memcpy(out.data(), seg.first.data(),
-                seg.first.size() * sizeof(double));
-  }
-  if (!seg.second.empty()) {
-    std::memcpy(out.data() + seg.first.size(), seg.second.data(),
-                seg.second.size() * sizeof(double));
-  }
-}
-
 bool ColumnarSampleStore::check_integrity() const noexcept {
   if (slot_cap_ > capacity_ || len_ > slot_cap_ || size_ > len_) return false;
   if ((values_ == nullptr) != (slot_cap_ == 0) ||
@@ -224,14 +176,6 @@ bool ColumnarSampleStore::check_integrity() const noexcept {
     if (m.cpu_count > cpu_width_ || m.gpu_count > gpu_width_) return false;
     if (m.host_idx >= host_table_.size()) return false;
     if ((m.flags & ~kAllFlags) != 0) return false;
-    // The derived best_w column must agree with the presence flags: the
-    // direct sensor when present, else the estimate, else zero.
-    const double expect = (m.flags & kNodePresent)
-                              ? column(kNodeW)[p]
-                              : ((m.flags & kEstimatePresent)
-                                     ? column(kEstimateW)[p]
-                                     : 0.0);
-    if (column(kBestW)[p] != expect) return false;
     if (i > 0 && column(kTimestamp)[phys(i - 1)] > column(kTimestamp)[p]) {
       return false;
     }

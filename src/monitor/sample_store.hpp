@@ -1,27 +1,25 @@
 // sample_store.hpp — columnar (structure-of-arrays) power-sample ring.
 //
-// The monitor's hot read paths — ledger stats over a window, percentile
-// sweeps for reports, and the dsp period detector — all consume a single
-// scalar per sample (timestamp or one watt domain). Storing samples as an
-// array of `hwsim::PowerSample` structs makes every such sweep a strided
-// walk with `sizeof(PowerSample)` between consecutive values; storing each
-// domain in its own contiguous `double` column makes them unit-stride,
-// cache-friendly and vectorizable. This class is that layout change and
-// nothing else: it reproduces `util::RingBuffer<PowerSample>` semantics
-// exactly — insertion order, overwrite-oldest eviction, and the lifetime
-// accounting (`total_pushed`, `evicted`, `inherit_lifetime`) that the
-// chaos suite's ledger identity depends on — behind accessors that
+// Every node-agent keeps one of these: a ring of its most recent sensor
+// sweeps, answered to window queries by a binary search over the
+// timestamp column (`window_range`) and per-sample reads (`get`). Storing
+// each domain in its own `double` column instead of an array of
+// `hwsim::PowerSample` structs lets the store hold only the columns its
+// node's samples fill. It reproduces `util::RingBuffer<PowerSample>`
+// semantics exactly — insertion order, overwrite-oldest eviction, and the
+// lifetime accounting (`total_pushed`, `evicted`, `inherit_lifetime`) that
+// the chaos suite's ledger identity depends on — behind accessors that
 // materialize `PowerSample` values on demand.
 //
 // Storage is two heap blocks per store. The numeric block holds one
-// column per scalar (timestamp, best node watts, node, estimate, memory)
-// plus one per socket and per GPU, only as many device columns as the
-// widest sample seen so far needs (a Lassen sample fills 2 sockets and 4
-// GPUs of the 4 + 8 a PowerSample can carry); a wider sample re-lays the
-// block out. The metadata block holds one 8-byte record per slot: the
-// cpu/gpu sensor counts, an index into a tiny interned hostname table (a
-// node-agent's hostname never changes, so the table holds one entry) and
-// the presence and fault flags as bits of one byte. Both blocks grow as a
+// column per scalar (timestamp, node, estimate, memory) plus one per
+// socket and per GPU, only as many device columns as the widest sample
+// seen so far needs (a Lassen sample fills 2 sockets and 4 GPUs of the
+// 4 + 8 a PowerSample can carry); a wider sample re-lays the block out.
+// The metadata block holds one 8-byte record per slot: the cpu/gpu sensor
+// counts, an index into a tiny interned hostname table (a node-agent's
+// hostname never changes, so the table holds one entry) and the presence
+// and fault flags as bits of one byte. Both blocks grow as a
 // whole by doubling, up to capacity, so an empty store costs nothing and
 // neither block outgrows twice the most slots the store has held: per
 // slot, 8 bytes per column plus 8 of metadata.
@@ -30,7 +28,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -67,29 +64,12 @@ class ColumnarSampleStore {
   hwsim::PowerSample back() const { return get(size_ - 1); }
 
   double timestamp_at(std::size_t i) const;
-  double best_w_at(std::size_t i) const;
 
   /// Logical index range [lo, hi) of samples with
   /// start_s <= timestamp <= end_s, by binary search over the monotone
   /// timestamp column.
   std::pair<std::size_t, std::size_t> window_range(double start_s,
                                                    double end_s) const;
-
-  /// A logical range of a column as at most two contiguous spans (the ring
-  /// seam splits wrapped ranges). `second` is empty when the range is
-  /// contiguous.
-  struct Segments {
-    std::span<const double> first;
-    std::span<const double> second;
-    std::size_t size() const noexcept { return first.size() + second.size(); }
-  };
-  Segments best_w_segments(std::size_t lo, std::size_t hi) const;
-  Segments timestamp_segments(std::size_t lo, std::size_t hi) const;
-
-  /// Copy the best-node-watts column for logical [lo, hi) into `out`
-  /// (resized to hi-lo): two bulk copies instead of size() strided loads.
-  void copy_best_w(std::size_t lo, std::size_t hi,
-                   std::vector<double>& out) const;
 
   /// Credit pushes that happened before this store existed (buffer swap on
   /// reconfiguration); see RingBuffer::inherit_lifetime.
@@ -100,15 +80,14 @@ class ColumnarSampleStore {
   /// Internal consistency check for the regression suite: the blocks must
   /// describe exactly the retained slots (lengths within the allocation,
   /// counts within the block's device widths, hostname indices valid, known
-  /// flag bits only, best watts derived from the flags). Returns false on
-  /// any desynchronization.
+  /// flag bits only, timestamps monotone). Returns false on any
+  /// desynchronization.
   bool check_integrity() const noexcept;
 
  private:
   /// Scalar columns, in numeric-block order; device columns follow.
   enum Column : std::size_t {
     kTimestamp,
-    kBestW,  ///< best_node_w(), precomputed at push
     kNodeW,
     kEstimateW,
     kMemW,

@@ -13,8 +13,7 @@
 // `FaultPlane::by_node_` (keyed by Node*) would digest ASLR, not sim state.
 //
 // The probe is read-only and allocation-light; capture cost scales with
-// retained telemetry (the monitor ring dominates). micro_twin_bench reports
-// the bytes and the capture latency.
+// retained telemetry (the monitor ring dominates).
 #pragma once
 
 #include <cstdint>

@@ -10,8 +10,7 @@
 // which is the property the fork-isolation suite pins under TSan.
 //
 // Query latency lands in an obs::Histogram (the registry the observability
-// plane uses everywhere else); micro_twin_bench reads the percentiles out
-// of the bucket counts.
+// plane uses everywhere else).
 #pragma once
 
 #include <condition_variable>

@@ -35,6 +35,19 @@ std::vector<Complex> random_signal(std::size_t n, std::uint64_t seed) {
   return x;
 }
 
+/// An n-sample random signal zero-padded to the next power of two, the way
+/// find_period pads every window before transforming it.
+std::vector<Complex> padded_signal(std::size_t n, std::uint64_t seed) {
+  std::vector<Complex> x = random_signal(n, seed);
+  x.resize(next_power_of_two(n), Complex{});
+  return x;
+}
+
+std::vector<Complex> fft(std::vector<Complex> x) {
+  fft_radix2(x);
+  return x;
+}
+
 TEST(Fft, PowerOfTwoHelpers) {
   EXPECT_TRUE(is_power_of_two(1));
   EXPECT_TRUE(is_power_of_two(2));
@@ -48,11 +61,14 @@ TEST(Fft, PowerOfTwoHelpers) {
   EXPECT_EQ(next_power_of_two(1000), 1024u);
 }
 
-TEST(Fft, EmptyInput) { EXPECT_TRUE(fft({}).empty()); }
+TEST(Fft, EmptyInput) {
+  std::vector<Complex> x;
+  EXPECT_THROW(fft_radix2(x), std::invalid_argument);
+  EXPECT_THROW(power_spectrum({}), std::invalid_argument);
+}
 
 TEST(Fft, SingleSampleIsIdentity) {
-  std::vector<Complex> x{Complex(3.0, -1.0)};
-  const auto spec = fft(x);
+  const auto spec = fft({Complex(3.0, -1.0)});
   ASSERT_EQ(spec.size(), 1u);
   EXPECT_NEAR(spec[0].real(), 3.0, kTol);
   EXPECT_NEAR(spec[0].imag(), -1.0, kTol);
@@ -101,11 +117,16 @@ TEST(Fft, Radix2RejectsNonPowerOfTwo) {
   EXPECT_THROW(fft_radix2(x), std::invalid_argument);
 }
 
+TEST(Fft, PowerSpectrumRejectsNonPowerOfTwo) {
+  std::vector<double> x(10, 1.0);
+  EXPECT_THROW(power_spectrum(x), std::invalid_argument);
+}
+
 TEST(Fft, RealSignalHasConjugateSymmetry) {
   util::Rng rng(3);
-  std::vector<double> x(32);
-  for (double& v : x) v = rng.uniform(-5, 5);
-  const auto spec = fft_real(x);
+  std::vector<Complex> x(32);
+  for (Complex& v : x) v = rng.uniform(-5, 5);
+  const auto spec = fft(x);
   for (std::size_t k = 1; k < x.size(); ++k) {
     const Complex a = spec[k];
     const Complex b = std::conj(spec[x.size() - k]);
@@ -115,21 +136,21 @@ TEST(Fft, RealSignalHasConjugateSymmetry) {
 }
 
 TEST(Fft, PowerSpectrumSize) {
-  std::vector<double> x(10, 1.0);
-  EXPECT_EQ(power_spectrum(x).size(), 6u);  // N/2 + 1
+  std::vector<double> x(16, 1.0);
+  EXPECT_EQ(power_spectrum(x).size(), 9u);  // N/2 + 1
 }
 
-// Property: fft matches the O(N^2) DFT for arbitrary sizes (exercises both
-// the radix-2 and the Bluestein paths).
+// Property: the kernel matches the O(N^2) DFT of an n-sample signal
+// zero-padded to the next power of two (no padding when n already is one).
 class FftMatchesDft : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FftMatchesDft, AgreesWithNaiveDft) {
   const std::size_t n = GetParam();
-  const auto x = random_signal(n, 1000 + n);
+  const auto x = padded_signal(n, 1000 + n);
   const auto fast = fft(x);
   const auto slow = naive_dft(x);
   ASSERT_EQ(fast.size(), slow.size());
-  for (std::size_t k = 0; k < n; ++k) {
+  for (std::size_t k = 0; k < fast.size(); ++k) {
     EXPECT_NEAR(fast[k].real(), slow[k].real(), 1e-7 * n) << "bin " << k;
     EXPECT_NEAR(fast[k].imag(), slow[k].imag(), 1e-7 * n) << "bin " << k;
   }
@@ -139,15 +160,20 @@ INSTANTIATE_TEST_SUITE_P(Sizes, FftMatchesDft,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 12, 13, 16, 15,
                                            17, 31, 32, 45, 64, 100, 127, 128));
 
-// Property: ifft(fft(x)) == x.
+// Property: the inverse transform, taken with the forward kernel as
+// conj(fft(conj(X))) / N, recovers the padded signal.
 class FftRoundTrip : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FftRoundTrip, InverseRecoversSignal) {
   const std::size_t n = GetParam();
-  const auto x = random_signal(n, 2000 + n);
-  const auto back = ifft(fft(x));
-  ASSERT_EQ(back.size(), n);
-  for (std::size_t i = 0; i < n; ++i) {
+  const auto x = padded_signal(n, 2000 + n);
+  auto back = fft(x);
+  for (Complex& c : back) c = std::conj(c);
+  back = fft(back);
+  const double scale = 1.0 / static_cast<double>(back.size());
+  for (Complex& c : back) c = std::conj(c) * scale;
+  ASSERT_EQ(back.size(), x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_NEAR(back[i].real(), x[i].real(), 1e-8);
     EXPECT_NEAR(back[i].imag(), x[i].imag(), 1e-8);
   }
@@ -162,12 +188,13 @@ class FftParseval : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FftParseval, EnergyConserved) {
   const std::size_t n = GetParam();
-  const auto x = random_signal(n, 3000 + n);
+  const auto x = padded_signal(n, 3000 + n);
   const auto spec = fft(x);
   double time_energy = 0.0, freq_energy = 0.0;
   for (const Complex& c : x) time_energy += std::norm(c);
   for (const Complex& c : spec) freq_energy += std::norm(c);
-  EXPECT_NEAR(freq_energy / static_cast<double>(n), time_energy, 1e-6 * n);
+  EXPECT_NEAR(freq_energy / static_cast<double>(spec.size()), time_energy,
+              1e-6 * n);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FftParseval,
@@ -175,7 +202,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, FftParseval,
 
 // Property: linearity — fft(a*x + y) == a*fft(x) + fft(y).
 TEST(Fft, Linearity) {
-  const std::size_t n = 24;
+  const std::size_t n = 32;
   const auto x = random_signal(n, 1);
   const auto y = random_signal(n, 2);
   const double a = 2.5;

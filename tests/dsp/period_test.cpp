@@ -147,6 +147,10 @@ TEST(Autocorrelation, PeakAtPeriodLag) {
   EXPECT_GT(acf[8], 0.8);
 }
 
+TEST(Autocorrelation, EmptyInputGivesEmpty) {
+  EXPECT_TRUE(autocorrelation({}).empty());
+}
+
 TEST(FindPeriodAcf, DetectsPeriod) {
   const auto xs = sine(8.0, 1.0, 160.0);
   const auto est = find_period(xs, 1.0, PeriodMethod::Autocorrelation);

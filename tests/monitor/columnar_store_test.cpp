@@ -95,7 +95,6 @@ void expect_same_contents(const ColumnarSampleStore& store,
   for (std::size_t i = 0; i < reference.size(); ++i) {
     expect_same_sample(store.get(i), reference[i]);
     EXPECT_EQ(store.timestamp_at(i), reference[i].timestamp_s);
-    EXPECT_EQ(store.best_w_at(i), reference[i].best_node_w());
   }
   expect_same_sample(store.front(), reference.front());
   expect_same_sample(store.back(), reference.back());
@@ -180,15 +179,6 @@ TEST(ColumnarStore, WindowRangeMatchesLinearScan) {
                                       << "]";
     for (std::size_t k = 0; k < expect.size(); ++k) {
       EXPECT_EQ(lo + k, expect[k]);
-    }
-    // Column segments cover the same range in order.
-    const auto seg = store.best_w_segments(lo, hi);
-    ASSERT_EQ(seg.size(), hi - lo);
-    std::vector<double> copied;
-    store.copy_best_w(lo, hi, copied);
-    ASSERT_EQ(copied.size(), hi - lo);
-    for (std::size_t k = 0; k < copied.size(); ++k) {
-      EXPECT_EQ(copied[k], reference[lo + k].best_node_w());
     }
   }
 }

@@ -75,7 +75,7 @@ TEST(StoreHeap, LassenStoreFitsInThreeBlocks) {
   EXPECT_EQ(g_live_bytes, bytes_before) << "a destroyed store returns its heap";
   EXPECT_EQ(wrap_news, 0u) << "pushes into a full ring allocate nothing";
   EXPECT_LE(blocks, 3);
-  EXPECT_LE(bytes, 1700) << "usable heap of one capacity-16 Lassen store";
+  EXPECT_LE(bytes, 1500) << "usable heap of one capacity-16 Lassen store";
   RecordProperty("live_bytes", static_cast<int>(bytes));
   RecordProperty("live_blocks", static_cast<int>(blocks));
 }
