@@ -14,8 +14,6 @@
 //   * fairness — per-job slowdown spread (max - min of runtime vs the
 //     unconstrained FCFS baseline, keyed by submission index): a policy
 //     that starves one job to speed the rest scores wide.
-// Full scores also land in BENCH_policy.json in the working directory.
-#include <cstdio>
 #include <iostream>
 #include <map>
 #include <string>
@@ -23,7 +21,6 @@
 
 #include "bench/common.hpp"
 #include "experiments/scenario.hpp"
-#include "util/json.hpp"
 #include "util/stats.hpp"
 
 using namespace fluxpower;
@@ -146,12 +143,6 @@ int main() {
       {"fcfs + pi-bound", "fcfs", manager::NodePolicy::PiBound, 0.0, true},
   };
 
-  util::Json doc = util::Json::object();
-  doc["bench"] = "ext_policy_tournament";
-  doc["nodes"] = kNodes;
-  doc["cluster_bound_w"] = kBoundW;
-  util::Json archetypes = util::Json::array();
-
   util::TextTable table({"queue archetype", "policy", "makespan s",
                          "energy MJ", "overshoot Ws", "slowdown spread",
                          "mean slowdown"});
@@ -162,42 +153,19 @@ int main() {
     Entrant base{"baseline", "fcfs", manager::NodePolicy::None, 0.0, false};
     run(archetype, base, {}, &baseline);
 
-    util::Json arch = util::Json::object();
-    arch["archetype"] = archetype;
-    util::Json scores = util::Json::array();
     for (const Entrant& e : entrants) {
       const Score s = run(archetype, e, baseline, nullptr);
       table.add_row({archetype, e.label, bench::num(s.makespan_s, 0),
                      bench::num(s.energy_mj, 2), bench::num(s.overshoot_ws, 0),
                      bench::num(s.slowdown_spread, 3),
                      bench::num(s.mean_slowdown, 3)});
-      util::Json row = util::Json::object();
-      row["policy"] = e.label;
-      row["sched_policy"] = e.sched;
-      row["node_policy"] = manager::node_policy_name(e.node);
-      row["makespan_s"] = s.makespan_s;
-      row["energy_mj"] = s.energy_mj;
-      row["overshoot_watt_seconds"] = s.overshoot_ws;
-      row["slowdown_spread"] = s.slowdown_spread;
-      row["mean_slowdown"] = s.mean_slowdown;
-      scores.push_back(row);
     }
-    arch["scores"] = scores;
-    archetypes.push_back(arch);
   }
-  doc["archetypes"] = archetypes;
   table.print(std::cout);
-
-  if (std::FILE* f = std::fopen("BENCH_policy.json", "w")) {
-    const std::string text = doc.dump(2);
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-  }
   bench::note(
       "shape: admission policies (power-aware, power-aware-easy) keep "
       "overshoot near zero and slowdowns near 1.0 by queueing longer; "
       "throttling policies start sooner but spread slowdown unevenly; "
-      "eco-mode trades a bounded per-job slowdown for fleet headroom. "
-      "Full scores in BENCH_policy.json.");
+      "eco-mode trades a bounded per-job slowdown for fleet headroom.");
   return 0;
 }

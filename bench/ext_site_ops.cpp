@@ -9,14 +9,11 @@
 // start within their requested deadline (SLO, measured against the
 // original submit time — deferral is never free), and how many minutes the
 // site spends above its facility bound.
-//
-// Full scores also land in BENCH_site.json in the working directory.
 #include <iostream>
 
 #include "bench/common.hpp"
 #include "experiments/site_ops.hpp"
 #include "manager/site_policy.hpp"
-#include "util/json.hpp"
 #include "util/table.hpp"
 
 using namespace fluxpower;
@@ -47,13 +44,6 @@ int main() {
       base.tariff.peak_usd_mwh, base.tariff.peak_start_h,
       base.tariff.peak_end_h);
 
-  util::Json doc = util::Json::object();
-  doc["bench"] = "ext_site_ops";
-  doc["site_bound_w"] = base.site_bound_w;
-  doc["duration_days"] = base.workload.duration_s / 86400.0;
-  doc["jobs_per_hour_peak"] = base.workload.jobs_per_hour_peak;
-  util::Json policies = util::Json::array();
-
   util::TextTable table({"site policy", "jobs", "deferred", "energy MWh",
                          "cost USD", "SLO %", "cap-viol min", "peak kW",
                          "rounds"});
@@ -69,46 +59,13 @@ int main() {
                    bench::num(r.cap_violation_min, 0),
                    bench::num(r.peak_site_draw_w / 1000.0, 2),
                    bench::num(r.rounds_completed, 0)});
-
-    util::Json row = util::Json::object();
-    row["policy"] = info.name;
-    row["jobs_total"] = r.jobs_total;
-    row["jobs_deferred"] = r.jobs_deferred;
-    row["jobs_completed"] = r.jobs_completed;
-    row["energy_j"] = r.energy_j;
-    row["energy_cost_usd"] = r.energy_cost_usd;
-    row["slo_attainment"] = r.slo_attainment;
-    row["cap_violation_min"] = r.cap_violation_min;
-    row["peak_site_draw_w"] = r.peak_site_draw_w;
-    row["avg_site_draw_w"] = r.avg_site_draw_w;
-    row["rounds_completed"] = r.rounds_completed;
-    row["member_misses"] = static_cast<double>(r.member_misses);
-    util::Json members = util::Json::array();
-    for (const experiments::SiteMemberStats& m : r.members) {
-      util::Json member = util::Json::object();
-      member["name"] = m.name;
-      member["jobs"] = m.jobs;
-      member["completed"] = m.completed;
-      member["energy_j"] = m.energy_j;
-      members.push_back(member);
-    }
-    row["members"] = members;
-    policies.push_back(row);
   }
-  doc["policies"] = policies;
   table.print(std::cout);
-
-  if (std::FILE* f = std::fopen("BENCH_site.json", "w")) {
-    const std::string text = doc.dump(2);
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-  }
   bench::note(
       "shape: tariff-aware-dr buys the lowest energy cost by shifting "
       "deferrable submissions out of the weekday peak window and tightening "
       "the apportioned bound while the price is at its peak tier, at a "
       "small SLO cost; fair-share trades SLO for predictable per-tenant "
-      "headroom; demand-proportional is the throughput baseline. Full "
-      "scores in BENCH_site.json.");
+      "headroom; demand-proportional is the throughput baseline.");
   return 0;
 }

@@ -27,12 +27,12 @@ Json render_telemetry_entry(const TelemetryNodeEntry& entry) {
 
 Json render_telemetry_payload(const Json& meta, const TelemetryBatch& batch) {
   if (batch.single_entry && batch.nodes.size() == 1) {
-    return render_telemetry_entry(batch.nodes.front());
+    return render_telemetry_entry(*batch.nodes.front());
   }
   Json payload = meta.is_object() ? meta : Json::object();
   Json nodes = Json::array();
-  for (const TelemetryNodeEntry& entry : batch.nodes) {
-    nodes.push_back(render_telemetry_entry(entry));
+  for (const auto& entry : batch.nodes) {
+    nodes.push_back(render_telemetry_entry(*entry));
   }
   payload["nodes"] = std::move(nodes);
   return payload;

@@ -1,13 +1,14 @@
 // telemetry.hpp — typed telemetry payloads for intra-instance messaging.
 //
 // The monitor's data plane carries hwsim::PowerSample structs end-to-end:
-// node-agents store them raw in the ring buffer, brokers merge them through
-// the TBON subtree reduction, and the root hands them to the client — all
-// without serializing. Every get-data, get-subtree and query-job answer is
-// a typed batch. JSON exists only at the edges: the codec renders a batch
-// into the payload when a message crosses the wire boundary (wire dumps,
-// journal), byte-identical to the historical JSON-everywhere payloads, so
-// wire formats and experiment outputs are unchanged.
+// node-agents copy a window out of their ring buffer once, brokers merge
+// the entries through the TBON subtree reduction by pointer, and the root
+// hands them to the client — all without serializing or copying again.
+// Every get-data, get-subtree and query-job answer is a typed batch. JSON
+// exists only at the edges: the codec renders a batch into the payload
+// when a message crosses the wire boundary (wire dumps, journal),
+// byte-identical to the historical JSON-everywhere payloads, so wire
+// formats and experiment outputs are unchanged.
 #pragma once
 
 #include <memory>
@@ -36,9 +37,12 @@ struct TelemetryNodeEntry {
 
 /// A merged set of per-node entries travelling up the TBON. Held by
 /// shared_ptr on the Message so each routing hop copies a pointer, not the
-/// samples.
+/// samples. Entries are immutable once built and shared the same way: a
+/// merging hop appends its children's entry pointers to its own batch, so
+/// a sample is copied once, out of its node-agent's ring, however many
+/// levels it climbs.
 struct TelemetryBatch {
-  std::vector<TelemetryNodeEntry> nodes;
+  std::vector<std::shared_ptr<const TelemetryNodeEntry>> nodes;
   /// When true the batch is a single node-agent's get-data reply and
   /// renders as the bare entry object instead of {..., "nodes": [...]}.
   bool single_entry = false;

@@ -1,7 +1,8 @@
 #include "monitor/client.hpp"
 
 #include <algorithm>
-#include <map>
+#include <utility>
+#include <vector>
 
 #include "flux/telemetry.hpp"
 #include "monitor/power_monitor.hpp"
@@ -32,16 +33,30 @@ double JobPowerData::max_node_power_w() const {
 
 double JobPowerData::max_aggregate_power_w() const {
   // Group samples by (quantized) timestamp across nodes; samples are taken
-  // on a common 2 s grid so exact timestamps align.
-  std::map<long long, double> by_time;
+  // on a common 2 s grid so exact timestamps align. A stable sort keeps
+  // each timestamp's watts in node-then-sample order, so every sum adds
+  // the same values in the same order as a per-timestamp accumulator.
+  std::size_t total = 0;
+  for (const NodePowerData& node : nodes) total += node.samples.size();
+  std::vector<std::pair<long long, double>> readings;
+  readings.reserve(total);
   for (const NodePowerData& node : nodes) {
     for (const hwsim::PowerSample& s : node.samples) {
-      const long long key = static_cast<long long>(s.timestamp_s * 1000.0 + 0.5);
-      by_time[key] += s.best_node_w();
+      readings.emplace_back(
+          static_cast<long long>(s.timestamp_s * 1000.0 + 0.5), s.best_node_w());
     }
   }
+  std::stable_sort(readings.begin(), readings.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
   double m = 0.0;
-  for (const auto& [t, w] : by_time) m = std::max(m, w);
+  for (std::size_t i = 0; i < readings.size();) {
+    double w = 0.0;
+    const long long key = readings[i].first;
+    for (; i < readings.size() && readings[i].first == key; ++i) {
+      w += readings[i].second;
+    }
+    m = std::max(m, w);
+  }
   return m;
 }
 
@@ -49,14 +64,16 @@ double JobPowerData::average_node_energy_j() const {
   if (nodes.empty()) return 0.0;
   double total = 0.0;
   for (const NodePowerData& node : nodes) {
-    std::vector<double> ts, ws;
-    ts.reserve(node.samples.size());
-    ws.reserve(node.samples.size());
-    for (const hwsim::PowerSample& s : node.samples) {
-      ts.push_back(s.timestamp_s);
-      ws.push_back(s.best_node_w());
+    // Trapezoidal integration over the node's samples (util::trapezoid's
+    // arithmetic, read straight from the samples).
+    double energy = 0.0;
+    for (std::size_t i = 1; i < node.samples.size(); ++i) {
+      const hwsim::PowerSample& a = node.samples[i - 1];
+      const hwsim::PowerSample& b = node.samples[i];
+      energy += 0.5 * (b.best_node_w() + a.best_node_w()) *
+                (b.timestamp_s - a.timestamp_s);
     }
-    total += util::trapezoid(ts, ws);
+    total += energy;
   }
   return total / static_cast<double>(nodes.size());
 }
@@ -70,22 +87,23 @@ std::size_t JobPowerData::responding_nodes() const noexcept {
 }
 
 JobPowerData parse_job_power_message(const flux::Message& resp) {
-  // The batch already holds PowerSample structs; the JSON payload carries
-  // only the meta keys.
+  // The batch already holds PowerSample structs, which the nodes view in
+  // place; the JSON payload carries only the meta keys.
   JobPowerData data;
   data.job_id = static_cast<flux::JobId>(resp.payload.int_or("id", 0));
   data.app = resp.payload.string_or("app", "");
   data.t_start = resp.payload.number_or("t_start", 0.0);
   data.t_end = resp.payload.number_or("t_end", 0.0);
   data.nodes.reserve(resp.telemetry->nodes.size());
-  for (const flux::TelemetryNodeEntry& entry : resp.telemetry->nodes) {
+  for (const auto& entry : resp.telemetry->nodes) {
     NodePowerData node;
-    node.hostname = entry.hostname;
-    node.rank = entry.rank;
-    node.complete = entry.complete;
-    node.errored = entry.errored;
-    node.error = entry.error;
-    node.samples = entry.samples;
+    node.hostname = entry->hostname;
+    node.rank = entry->rank;
+    node.complete = entry->complete;
+    node.errored = entry->errored;
+    node.error = entry->error;
+    node.samples = entry->samples;
+    node.entry = entry;
     data.nodes.push_back(std::move(node));
   }
   // Stable presentation order regardless of RPC completion order.
@@ -142,13 +160,13 @@ std::optional<JobPowerData> MonitorClient::query_window_blocking(
                        [&](const flux::Message& resp) {
                          done = true;
                          if (resp.is_error()) return;
-                         flux::Message shaped = resp;
-                         shaped.payload = util::Json::object();
-                         shaped.payload["id"] = 0;
-                         shaped.payload["app"] = "window-query";
-                         shaped.payload["t_start"] = start_s;
-                         shaped.payload["t_end"] = end_s;
-                         result = parse_job_power_message(shaped);
+                         // The answer's meta keys are coverage counts, not
+                         // a job's: fill the job fields in here.
+                         result = parse_job_power_message(resp);
+                         result->job_id = 0;
+                         result->app = "window-query";
+                         result->t_start = start_s;
+                         result->t_end = end_s;
                        });
   while (!done && instance_.pump_one()) {
   }

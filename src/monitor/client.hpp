@@ -9,11 +9,14 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "flux/instance.hpp"
+#include "flux/telemetry.hpp"
 #include "hwsim/types.hpp"
 
 namespace fluxpower::monitor {
@@ -27,7 +30,10 @@ struct NodePowerData {
   /// placeholder with no samples and `error` holds the reason.
   bool errored = false;
   std::string error;
-  std::vector<hwsim::PowerSample> samples;
+  /// The node's samples, read in place from the answer's entry, which
+  /// `entry` keeps alive: the client copies no sample.
+  std::span<const hwsim::PowerSample> samples;
+  std::shared_ptr<const flux::TelemetryNodeEntry> entry;
 };
 
 struct JobPowerData {
@@ -56,7 +62,8 @@ struct JobPowerData {
 
 /// Decode a successful `power-monitor.query-job` response: the meta keys
 /// from its JSON payload and the nodes from its typed batch, sorted by
-/// rank. Shared by the client and the root-agent's job archive.
+/// rank, each viewing its entry's samples. Shared by the client and the
+/// root-agent's job archive.
 JobPowerData parse_job_power_message(const flux::Message& resp);
 
 class MonitorClient {

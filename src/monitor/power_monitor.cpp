@@ -25,13 +25,13 @@ constexpr std::array<double, 8> kSweepDurationBounds = {
 constexpr std::array<double, 11> kBatchNodesBounds = {
     1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024};
 
-/// Copy the in-window samples of a columnar store into `entry`, decimating
+/// Copy the in-window samples of a store into `entry`, decimating
 /// uniformly when the requester bounded the transfer.
 void fill_windowed_samples(const ColumnarSampleStore& store, double start,
                            double end, std::size_t max_samples,
                            TelemetryNodeEntry& entry) {
-  // Columnar store: the in-window samples are a contiguous logical range
-  // found by binary search over the timestamp column — no full-buffer scan.
+  // The in-window samples are a contiguous logical range found by binary
+  // search over the timestamps — no full-buffer scan.
   const auto [lo, hi] = store.window_range(start, end);
   const std::size_t in_window = hi - lo;
   if (max_samples > 0 && in_window > max_samples) {
@@ -56,6 +56,26 @@ void fill_windowed_samples(const ColumnarSampleStore& store, double start,
       entry.samples.push_back(store.get(i));
     }
   }
+}
+
+/// Placeholder for a requested rank that did not answer: partial, errored
+/// and without samples.
+std::shared_ptr<const TelemetryNodeEntry> errored_entry(
+    flux::Rank rank, const std::string& error) {
+  auto entry = std::make_shared<TelemetryNodeEntry>();
+  entry->rank = rank;
+  entry->complete = false;
+  entry->errored = true;
+  entry->error = error;
+  return entry;
+}
+
+/// A window request's `max_samples` must not be negative: cast to size_t
+/// it would wrap to a huge bound and ship every in-window sample.
+bool rejects_negative_max_samples(flux::Broker& broker, const Message& req) {
+  if (req.payload.int_or("max_samples", 0) >= 0) return false;
+  broker.respond_error(req, flux::kEInval, "max_samples must be >= 0");
+  return true;
 }
 
 }  // namespace
@@ -214,7 +234,8 @@ void PowerMonitorModule::take_sample() {
   buffer_->push(s);
 }
 
-TelemetryNodeEntry PowerMonitorModule::local_entry(const Json& window) {
+std::shared_ptr<const TelemetryNodeEntry> PowerMonitorModule::local_entry(
+    const Json& window) {
   const double start = window.number_or("start", 0.0);
   const double end = window.number_or("end", broker_->sim().now());
   // Optional decimation: long-running jobs accumulate days of samples;
@@ -223,26 +244,27 @@ TelemetryNodeEntry PowerMonitorModule::local_entry(const Json& window) {
   const auto max_samples =
       static_cast<std::size_t>(window.int_or("max_samples", 0));
 
-  TelemetryNodeEntry entry;
-  fill_windowed_samples(*buffer_, start, end, max_samples, entry);
+  auto entry = std::make_shared<TelemetryNodeEntry>();
+  fill_windowed_samples(*buffer_, start, end, max_samples, *entry);
 
   // The dataset is partial if the buffer has already flushed samples that
   // fell inside the requested window: detectable when the oldest retained
   // sample is newer than the window start and evictions have occurred.
-  entry.complete = true;
+  entry->complete = true;
   if (buffer_->empty()) {
-    entry.complete = false;
+    entry->complete = false;
   } else if (buffer_->evicted() > 0 && buffer_->timestamp_at(0) > start) {
-    entry.complete = false;
+    entry->complete = false;
   }
 
-  entry.hostname =
+  entry->hostname =
       broker_->node() != nullptr ? broker_->node()->hostname() : "";
-  entry.rank = broker_->rank();
+  entry->rank = broker_->rank();
   return entry;
 }
 
 void PowerMonitorModule::handle_get_data(const Message& req) {
+  if (rejects_negative_max_samples(*broker_, req)) return;
   auto batch = std::make_shared<TelemetryBatch>();
   batch->single_entry = true;
   batch->nodes.push_back(local_entry(req.payload));
@@ -310,8 +332,9 @@ void PowerMonitorModule::handle_get_subtree(const Message& req) {
   // children whose subtrees hold requested ranks, and answer upward with
   // the merged per-node entries. Every broker's fan-in is bounded by the
   // tree fanout regardless of job size. The merge is typed and stateless:
-  // child batches arrive by pointer, their entries are concatenated without
-  // touching JSON, and nothing outlives the query.
+  // child batches arrive by pointer, their entry pointers are appended
+  // without touching JSON or samples, and nothing outlives the query.
+  if (rejects_negative_max_samples(*broker_, req)) return;
   const flux::Tbon& tbon = broker_->instance().tbon();
   std::vector<flux::Rank> wanted;
   if (req.payload.contains("ranks")) {
@@ -364,24 +387,21 @@ void PowerMonitorModule::handle_get_subtree(const Message& req) {
     merges->inc();
     batch_nodes->observe(static_cast<double>(p.batch.nodes.size()));
     // Payload accounting: samples shipped in this upward response (the
-    // typed batch travels by pointer; this is the hop's logical wire
-    // weight).
+    // entries travel by pointer; this is the hop's logical wire weight).
+    // Coverage annotation: how many of the requested ranks actually
+    // answered. Downed subtrees yield errored placeholder entries, so the
+    // aggregate degrades with an honest denominator instead of hanging.
     std::size_t shipped = 0;
-    for (const TelemetryNodeEntry& n : p.batch.nodes) {
-      shipped += n.samples.size();
+    std::size_t responding = 0;
+    for (const auto& n : p.batch.nodes) {
+      shipped += n->samples.size();
+      if (!n->errored) ++responding;
     }
     merge_bytes->inc(shipped * sizeof(hwsim::PowerSample));
     if (obs::TraceSink& tr = obs::process_trace(); tr.enabled()) {
       tr.instant(broker->sim().now(), "subtree-merge", "monitor",
                  broker->rank(), "nodes",
                  static_cast<double>(p.batch.nodes.size()));
-    }
-    // Coverage annotation: how many of the requested ranks actually
-    // answered. Downed subtrees yield errored placeholder entries, so the
-    // aggregate degrades with an honest denominator instead of hanging.
-    std::size_t responding = 0;
-    for (const TelemetryNodeEntry& n : p.batch.nodes) {
-      if (!n.errored) ++responding;
     }
     Json meta = Json::object();
     meta["requested"] = static_cast<std::int64_t>(requested);
@@ -417,21 +437,16 @@ void PowerMonitorModule::handle_get_subtree(const Message& req) {
         cr.child, kGetSubtreeTopic, std::move(sub),
         [pending, subset = std::move(cr.subset),
          respond_merged](const Message& resp) {
+          auto& merged = pending->batch.nodes;
           if (resp.is_error()) {
             // A whole subtree went dark: emit partial entries for each of
             // its requested ranks so aggregation degrades, not fails.
             for (flux::Rank r : subset) {
-              TelemetryNodeEntry entry;
-              entry.rank = r;
-              entry.complete = false;
-              entry.errored = true;
-              entry.error = resp.error_text;
-              pending->batch.nodes.push_back(std::move(entry));
+              merged.push_back(errored_entry(r, resp.error_text));
             }
           } else {
-            for (const TelemetryNodeEntry& n : resp.telemetry->nodes) {
-              pending->batch.nodes.push_back(n);
-            }
+            const auto& child = resp.telemetry->nodes;
+            merged.insert(merged.end(), child.begin(), child.end());
           }
           if (--pending->outstanding == 0) respond_merged(*pending);
         },
@@ -496,9 +511,9 @@ void PowerMonitorModule::handle_status(const Message& req) {
   payload["evicted"] = buffer_->evicted();
   payload["sensor_failures"] = sensor_failures();
   payload["sample_period_s"] = config_.sample_period_s;
-  // Byte accounting is exact now that the buffer stores flat structs.
-  payload["sample_bytes"] = sizeof(hwsim::PowerSample);
-  payload["buffer_bytes"] = buffer_->size() * sizeof(hwsim::PowerSample);
+  // What the ring holds: bytes per stored sample (one row) and its heap.
+  payload["sample_bytes"] = buffer_->row_bytes();
+  payload["buffer_bytes"] = buffer_->heap_bytes();
   broker_->respond(req, std::move(payload));
 }
 
@@ -574,10 +589,11 @@ void PowerMonitorModule::archive_job(flux::JobId id, flux::UserId userid) {
           summary["avg_node_power_w"] = data.average_node_power_w();
           summary["max_node_power_w"] = data.max_node_power_w();
           summary["max_job_power_w"] = data.max_aggregate_power_w();
-          summary["avg_node_energy_j"] = data.average_node_energy_j();
+          const double avg_node_energy_j = data.average_node_energy_j();
+          summary["avg_node_energy_j"] = avg_node_energy_j;
           summary["complete"] = complete;
           const double job_energy_j =
-              data.average_node_energy_j() * static_cast<double>(data.nodes.size());
+              avg_node_energy_j * static_cast<double>(data.nodes.size());
           broker->instance().kvs().put("jobs." + std::to_string(id) + ".power",
                                        std::move(summary));
 
@@ -677,12 +693,8 @@ void PowerMonitorModule::handle_query_job(const Message& req) {
                   // node-agent yields an empty *partial* per-node entry
                   // rather than failing the whole query — the client's
                   // completeness column carries the bad news.
-                  TelemetryNodeEntry entry;
-                  entry.rank = rank;
-                  entry.complete = false;
-                  entry.errored = true;
-                  entry.error = resp.error_text;
-                  pending->batch.nodes.push_back(std::move(entry));
+                  pending->batch.nodes.push_back(
+                      errored_entry(rank, resp.error_text));
                 } else {
                   pending->batch.nodes.push_back(resp.telemetry->nodes.front());
                 }

@@ -12,11 +12,11 @@
 //     circular buffer flushed samples inside the job's window, the dataset
 //     is reported as partial.
 //
-// The buffer is a columnar (structure-of-arrays) ring: per-domain watt
-// columns, a timestamp column and presence flags (see sample_store.hpp),
-// so window lookups are binary searches over the timestamp column.
-// Samples materialize back to `hwsim::PowerSample` at the accessor
-// boundary, and the TBON subtree merge ships typed batches by pointer.
+// The buffer is a row-packed ring: one row per sweep, holding the
+// timestamp, the per-domain watts and presence flags (see sample_store.hpp),
+// so window lookups are binary searches over the timestamps. Samples
+// materialize back to `hwsim::PowerSample` once, into the node-agent's
+// answer, and the TBON subtree merge ships the entries by pointer.
 // Every telemetry answer is a typed batch; JSON is rendered only at the
 // edges: for the live sample stream and at the codec/wire boundary.
 // The edge JSON is byte-identical to the old JSON-everywhere data plane
@@ -121,7 +121,7 @@ class PowerMonitorModule final : public flux::Module {
   std::string metrics_text() const;
 
   // -- Twin-codec introspection ---------------------------------------------
-  /// The node-agent's columnar sample ring (null before load()).
+  /// The node-agent's sample ring (null before load()).
   const ColumnarSampleStore* store() const noexcept { return buffer_.get(); }
 
  private:
@@ -130,8 +130,10 @@ class PowerMonitorModule final : public flux::Module {
   void handle_get_subtree(const flux::Message& req);
   void handle_query_job(const flux::Message& req);
   void handle_metrics(const flux::Message& req);
-  /// Build this rank's own per-node entry for a window request.
-  flux::TelemetryNodeEntry local_entry(const util::Json& window);
+  /// Build this rank's own per-node entry for a window request: the one
+  /// copy of its samples the query makes.
+  std::shared_ptr<const flux::TelemetryNodeEntry> local_entry(
+      const util::Json& window);
   void handle_status(const flux::Message& req);
   void handle_set_config(const flux::Message& req);
   void archive_job(flux::JobId id, flux::UserId userid);

@@ -24,31 +24,38 @@ std::uint32_t ColumnarSampleStore::intern_hostname(
   return static_cast<std::uint32_t>(host_table_.size() - 1);
 }
 
+ColumnarSampleStore::SlotMeta ColumnarSampleStore::meta_of(
+    const double* r) noexcept {
+  SlotMeta m{};
+  std::memcpy(&m, r + kMeta, sizeof m);
+  return m;
+}
+
 void ColumnarSampleStore::relayout(std::size_t slot_cap,
                                    std::size_t cpu_width,
                                    std::size_t gpu_width) {
-  const std::size_t columns = kScalarColumns + cpu_width + gpu_width;
-  auto values = std::make_unique_for_overwrite<double[]>(columns * slot_cap);
-  // Only the in-use prefix of each column moves. Scalar and socket columns
-  // keep their index; GPU columns shift past any added socket columns. A
-  // column the widening adds is written before it is read, since every
-  // slot it covers has a count below it.
-  const auto carry = [&](std::size_t from, std::size_t to) {
+  const std::size_t words = kScalarWords + cpu_width + gpu_width;
+  auto rows = std::make_unique_for_overwrite<double[]>(slot_cap * words);
+  // Only the in-use rows move. At the same width they move as one run.
+  // Otherwise each row is re-strided: the meta, scalar and socket words
+  // keep their offsets and the GPU words shift past any added socket
+  // words. A word the widening adds is written before it is read, since
+  // every slot it covers has a count below it.
+  if (words == row_words()) {
     if (len_ > 0) {
-      std::memcpy(values.get() + to * slot_cap, column(from),
-                  len_ * sizeof(double));
+      std::memcpy(rows.get(), rows_.get(), len_ * words * sizeof(double));
     }
-  };
-  for (std::size_t c = 0; c < kScalarColumns + cpu_width_; ++c) carry(c, c);
-  for (std::size_t g = 0; g < gpu_width_; ++g) {
-    carry(gpu_column(g), kScalarColumns + cpu_width + g);
+  } else {
+    const std::size_t lead = kScalarWords + cpu_width_;
+    for (std::size_t p = 0; p < len_; ++p) {
+      const double* from = row(p);
+      double* to = rows.get() + p * words;
+      std::memcpy(to, from, lead * sizeof(double));
+      std::memcpy(to + kScalarWords + cpu_width, from + lead,
+                  gpu_width_ * sizeof(double));
+    }
   }
-  if (slot_cap != slot_cap_) {
-    auto meta = std::make_unique_for_overwrite<SlotMeta[]>(slot_cap);
-    std::copy_n(meta_.get(), len_, meta.get());
-    meta_ = std::move(meta);
-  }
-  values_ = std::move(values);
+  rows_ = std::move(rows);
   slot_cap_ = slot_cap;
   cpu_width_ = cpu_width;
   gpu_width_ = gpu_width;
@@ -56,30 +63,29 @@ void ColumnarSampleStore::relayout(std::size_t slot_cap,
 
 void ColumnarSampleStore::assign_slot(std::size_t p,
                                       const hwsim::PowerSample& s) {
-  column(kTimestamp)[p] = s.timestamp_s;
-  column(kNodeW)[p] = s.node_w.watts;
-  column(kEstimateW)[p] = s.node_estimate_w.watts;
-  column(kMemW)[p] = s.mem_w.watts;
-  for (std::size_t c = 0; c < s.cpu_w.size(); ++c) {
-    column(cpu_column(c))[p] = s.cpu_w[c];
-  }
-  for (std::size_t g = 0; g < s.gpu_w.size(); ++g) {
-    column(gpu_column(g))[p] = s.gpu_w[g];
-  }
-  SlotMeta& m = meta_[p];
-  m.host_idx = intern_hostname(s.hostname);
-  m.cpu_count = static_cast<std::uint8_t>(s.cpu_w.size());
-  m.gpu_count = static_cast<std::uint8_t>(s.gpu_w.size());
-  m.flags = static_cast<std::uint8_t>(
-      (s.node_w.has_value() ? kNodePresent : 0) |
-      (s.node_estimate_w.has_value() ? kEstimatePresent : 0) |
-      (s.mem_w.has_value() ? kMemPresent : 0) |
-      (s.gpu_is_oam ? kGpuIsOam : 0) | (s.sensor_fault ? kSensorFault : 0));
+  double* r = row(p);
+  const SlotMeta m{
+      .host_idx = intern_hostname(s.hostname),
+      .cpu_count = static_cast<std::uint8_t>(s.cpu_w.size()),
+      .gpu_count = static_cast<std::uint8_t>(s.gpu_w.size()),
+      .flags = static_cast<std::uint8_t>(
+          (s.node_w.has_value() ? kNodePresent : 0) |
+          (s.node_estimate_w.has_value() ? kEstimatePresent : 0) |
+          (s.mem_w.has_value() ? kMemPresent : 0) |
+          (s.gpu_is_oam ? kGpuIsOam : 0) |
+          (s.sensor_fault ? kSensorFault : 0))};
+  std::memcpy(r + kMeta, &m, sizeof m);
+  r[kTimestamp] = s.timestamp_s;
+  r[kNodeW] = s.node_w.watts;
+  r[kEstimateW] = s.node_estimate_w.watts;
+  r[kMemW] = s.mem_w.watts;
+  std::copy(s.cpu_w.begin(), s.cpu_w.end(), r + kScalarWords);
+  std::copy(s.gpu_w.begin(), s.gpu_w.end(), r + kScalarWords + cpu_width_);
 }
 
 void ColumnarSampleStore::push(const hwsim::PowerSample& s) {
   // A slot past the in-use prefix is appended; the ring wraps only once
-  // the prefix reaches capacity, so the blocks never hold a gap.
+  // the prefix reaches capacity, so the block never holds a gap.
   const std::size_t p = size_ == capacity_ ? head_ : phys(size_);
   const bool append = p == len_;
   const std::size_t slot_cap =
@@ -103,19 +109,19 @@ void ColumnarSampleStore::push(const hwsim::PowerSample& s) {
 
 hwsim::PowerSample ColumnarSampleStore::get(std::size_t i) const {
   if (i >= size_) throw std::out_of_range("ColumnarSampleStore index");
-  const std::size_t p = phys(i);
-  const SlotMeta& m = meta_[p];
+  const double* r = row(phys(i));
+  const SlotMeta m = meta_of(r);
   hwsim::PowerSample s;
-  s.timestamp_s = column(kTimestamp)[p];
+  s.timestamp_s = r[kTimestamp];
   s.hostname = host_table_[m.host_idx];
-  if (m.flags & kNodePresent) s.node_w = column(kNodeW)[p];
-  if (m.flags & kEstimatePresent) s.node_estimate_w = column(kEstimateW)[p];
+  if (m.flags & kNodePresent) s.node_w = r[kNodeW];
+  if (m.flags & kEstimatePresent) s.node_estimate_w = r[kEstimateW];
   for (std::size_t c = 0; c < m.cpu_count; ++c) {
-    s.cpu_w.push_back(column(cpu_column(c))[p]);
+    s.cpu_w.push_back(r[kScalarWords + c]);
   }
-  if (m.flags & kMemPresent) s.mem_w = column(kMemW)[p];
+  if (m.flags & kMemPresent) s.mem_w = r[kMemW];
   for (std::size_t g = 0; g < m.gpu_count; ++g) {
-    s.gpu_w.push_back(column(gpu_column(g))[p]);
+    s.gpu_w.push_back(r[kScalarWords + cpu_width_ + g]);
   }
   s.gpu_is_oam = (m.flags & kGpuIsOam) != 0;
   s.sensor_fault = (m.flags & kSensorFault) != 0;
@@ -124,19 +130,17 @@ hwsim::PowerSample ColumnarSampleStore::get(std::size_t i) const {
 
 double ColumnarSampleStore::timestamp_at(std::size_t i) const {
   if (i >= size_) throw std::out_of_range("ColumnarSampleStore index");
-  return column(kTimestamp)[phys(i)];
+  return row(phys(i))[kTimestamp];
 }
 
 std::pair<std::size_t, std::size_t> ColumnarSampleStore::window_range(
     double start_s, double end_s) const {
   // Timestamps are monotone non-decreasing in logical order, so the window
-  // is a contiguous logical range found by two binary searches — O(log n)
-  // against the old layout's full linear scan.
-  const double* ts = column(kTimestamp);
+  // is a contiguous logical range found by two binary searches.
   std::size_t a = 0, b = size_;
   while (a < b) {
     const std::size_t mid = a + (b - a) / 2;
-    if (ts[phys(mid)] < start_s) {
+    if (row(phys(mid))[kTimestamp] < start_s) {
       a = mid + 1;
     } else {
       b = mid;
@@ -146,7 +150,7 @@ std::pair<std::size_t, std::size_t> ColumnarSampleStore::window_range(
   b = size_;
   while (a < b) {
     const std::size_t mid = a + (b - a) / 2;
-    if (ts[phys(mid)] <= end_s) {
+    if (row(phys(mid))[kTimestamp] <= end_s) {
       a = mid + 1;
     } else {
       b = mid;
@@ -157,10 +161,7 @@ std::pair<std::size_t, std::size_t> ColumnarSampleStore::window_range(
 
 bool ColumnarSampleStore::check_integrity() const noexcept {
   if (slot_cap_ > capacity_ || len_ > slot_cap_ || size_ > len_) return false;
-  if ((values_ == nullptr) != (slot_cap_ == 0) ||
-      (meta_ == nullptr) != (slot_cap_ == 0)) {
-    return false;
-  }
+  if ((rows_ == nullptr) != (slot_cap_ == 0)) return false;
   if (cpu_width_ > hwsim::kMaxSockets || gpu_width_ > hwsim::kMaxGpuSensors) {
     return false;
   }
@@ -171,14 +172,12 @@ bool ColumnarSampleStore::check_integrity() const noexcept {
   constexpr std::uint8_t kAllFlags =
       kNodePresent | kEstimatePresent | kMemPresent | kGpuIsOam | kSensorFault;
   for (std::size_t i = 0; i < size_; ++i) {
-    const std::size_t p = phys(i);
-    const SlotMeta& m = meta_[p];
+    const double* r = row(phys(i));
+    const SlotMeta m = meta_of(r);
     if (m.cpu_count > cpu_width_ || m.gpu_count > gpu_width_) return false;
     if (m.host_idx >= host_table_.size()) return false;
     if ((m.flags & ~kAllFlags) != 0) return false;
-    if (i > 0 && column(kTimestamp)[phys(i - 1)] > column(kTimestamp)[p]) {
-      return false;
-    }
+    if (i > 0 && row(phys(i - 1))[kTimestamp] > r[kTimestamp]) return false;
   }
   return true;
 }

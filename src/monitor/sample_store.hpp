@@ -1,28 +1,33 @@
-// sample_store.hpp — columnar (structure-of-arrays) power-sample ring.
+// sample_store.hpp — row-packed power-sample ring.
 //
 // Every node-agent keeps one of these: a ring of its most recent sensor
 // sweeps, answered to window queries by a binary search over the
-// timestamp column (`window_range`) and per-sample reads (`get`). Storing
-// each domain in its own `double` column instead of an array of
-// `hwsim::PowerSample` structs lets the store hold only the columns its
-// node's samples fill. It reproduces `util::RingBuffer<PowerSample>`
-// semantics exactly — insertion order, overwrite-oldest eviction, and the
-// lifetime accounting (`total_pushed`, `evicted`, `inherit_lifetime`) that
-// the chaos suite's ledger identity depends on — behind accessors that
-// materialize `PowerSample` values on demand.
+// timestamps (`window_range`) and per-sample reads (`get`). It reproduces
+// `util::RingBuffer<PowerSample>` semantics exactly — insertion order,
+// overwrite-oldest eviction, and the lifetime accounting (`total_pushed`,
+// `evicted`, `inherit_lifetime`) that the chaos suite's ledger identity
+// depends on — behind accessors that materialize `PowerSample` values on
+// demand.
 //
-// Storage is two heap blocks per store. The numeric block holds one
-// column per scalar (timestamp, node, estimate, memory) plus one per
-// socket and per GPU, only as many device columns as the widest sample
+// Storage is one heap block of rows, one row per slot, each field one
+// 8-byte word:
+//
+//   [SlotMeta | timestamp, node, estimate, mem | sockets... | GPUs...]
+//
+// A row carries only as many socket and GPU words as the widest sample
 // seen so far needs (a Lassen sample fills 2 sockets and 4 GPUs of the
-// 4 + 8 a PowerSample can carry); a wider sample re-lays the block out.
-// The metadata block holds one 8-byte record per slot: the cpu/gpu sensor
+// 4 + 8 a PowerSample can carry, so its row is 11 words, 88 bytes); a
+// wider sample re-strides the block. SlotMeta holds the cpu/gpu sensor
 // counts, an index into a tiny interned hostname table (a node-agent's
 // hostname never changes, so the table holds one entry) and the presence
-// and fault flags as bits of one byte. Both blocks grow as a
-// whole by doubling, up to capacity, so an empty store costs nothing and
-// neither block outgrows twice the most slots the store has held: per
-// slot, 8 bytes per column plus 8 of metadata.
+// and fault flags as bits of one byte. A push writes one row and `get`
+// reads one. The block grows as a whole by doubling, up to capacity, so
+// an empty store costs nothing and the block never outgrows twice the most
+// slots the store has held; a growth that keeps the row width is one
+// memcpy.
+//
+// The class keeps the name it had as a column store: perfbench's traced
+// binary wraps `push` by its mangled name.
 #pragma once
 
 #include <cstddef>
@@ -58,7 +63,7 @@ class ColumnarSampleStore {
   void push(const hwsim::PowerSample& s);
 
   /// Element i in insertion order (0 = oldest retained), materialized by
-  /// value from the columns. Throws std::out_of_range like RingBuffer.
+  /// value from its row. Throws std::out_of_range like RingBuffer.
   hwsim::PowerSample get(std::size_t i) const;
   hwsim::PowerSample front() const { return get(0); }
   hwsim::PowerSample back() const { return get(size_ - 1); }
@@ -67,7 +72,7 @@ class ColumnarSampleStore {
 
   /// Logical index range [lo, hi) of samples with
   /// start_s <= timestamp <= end_s, by binary search over the monotone
-  /// timestamp column.
+  /// timestamps.
   std::pair<std::size_t, std::size_t> window_range(double start_s,
                                                    double end_s) const;
 
@@ -77,21 +82,34 @@ class ColumnarSampleStore {
     total_pushed_ += pushed_before;
   }
 
-  /// Internal consistency check for the regression suite: the blocks must
+  /// Bytes of one row at the current device widths.
+  std::size_t row_bytes() const noexcept {
+    return row_words() * sizeof(double);
+  }
+  /// Heap the store owns: the row block plus the hostname table (the store
+  /// object itself is not counted).
+  std::size_t heap_bytes() const noexcept {
+    return slot_cap_ * row_bytes() +
+           host_table_.capacity() * sizeof(hwsim::FixedHostname);
+  }
+
+  /// Internal consistency check for the regression suite: the block must
   /// describe exactly the retained slots (lengths within the allocation,
-  /// counts within the block's device widths, hostname indices valid, known
+  /// counts within the row's device widths, hostname indices valid, known
   /// flag bits only, timestamps monotone). Returns false on any
   /// desynchronization.
   bool check_integrity() const noexcept;
 
  private:
-  /// Scalar columns, in numeric-block order; device columns follow.
-  enum Column : std::size_t {
+  /// Word offsets within a row; the socket words follow, then the GPU
+  /// words.
+  enum Word : std::size_t {
+    kMeta,
     kTimestamp,
     kNodeW,
     kEstimateW,
     kMemW,
-    kScalarColumns
+    kScalarWords
   };
   /// Bits of SlotMeta::flags.
   enum Flag : std::uint8_t {
@@ -101,32 +119,32 @@ class ColumnarSampleStore {
     kGpuIsOam = 8,
     kSensorFault = 16,
   };
+  /// Stored bytewise in a row's kMeta word.
   struct SlotMeta {
     std::uint32_t host_idx;
     std::uint8_t cpu_count;
     std::uint8_t gpu_count;
     std::uint8_t flags;
   };
+  static_assert(sizeof(SlotMeta) <= sizeof(double));
 
   std::size_t phys(std::size_t i) const noexcept {
     std::size_t p = head_ + i;
     if (p >= capacity_) p -= capacity_;
     return p;
   }
-  const double* column(std::size_t c) const noexcept {
-    return values_.get() + c * slot_cap_;
+  std::size_t row_words() const noexcept {
+    return kScalarWords + cpu_width_ + gpu_width_;
   }
-  double* column(std::size_t c) noexcept {
-    return values_.get() + c * slot_cap_;
+  const double* row(std::size_t p) const noexcept {
+    return rows_.get() + p * row_words();
   }
-  std::size_t cpu_column(std::size_t c) const noexcept {
-    return kScalarColumns + c;
+  double* row(std::size_t p) noexcept {
+    return rows_.get() + p * row_words();
   }
-  std::size_t gpu_column(std::size_t g) const noexcept {
-    return kScalarColumns + cpu_width_ + g;
-  }
-  /// Reallocate both blocks for `slot_cap` slots per column and the given
-  /// device widths, carrying the in-use slots over.
+  static SlotMeta meta_of(const double* r) noexcept;
+  /// Reallocate the block for `slot_cap` rows at the given device widths,
+  /// carrying the in-use rows over.
   void relayout(std::size_t slot_cap, std::size_t cpu_width,
                 std::size_t gpu_width);
   void assign_slot(std::size_t p, const hwsim::PowerSample& s);
@@ -138,11 +156,10 @@ class ColumnarSampleStore {
   std::size_t len_ = 0;   ///< physical slots in use; wraps start at capacity_
   std::uint64_t total_pushed_ = 0;
 
-  std::size_t slot_cap_ = 0;  ///< slots allocated per column
-  std::size_t cpu_width_ = 0;  ///< socket columns in the numeric block
-  std::size_t gpu_width_ = 0;  ///< GPU columns in the numeric block
-  std::unique_ptr<double[]> values_;  ///< column-major, slot_cap_ per column
-  std::unique_ptr<SlotMeta[]> meta_;  ///< slot_cap_ records
+  std::size_t slot_cap_ = 0;   ///< rows allocated
+  std::size_t cpu_width_ = 0;  ///< socket words per row
+  std::size_t gpu_width_ = 0;  ///< GPU words per row
+  std::unique_ptr<double[]> rows_;  ///< slot_cap_ rows of row_words()
   std::vector<hwsim::FixedHostname> host_table_;
 };
 

@@ -382,7 +382,7 @@ TEST_F(MonitorTest, BareGetDataGetsTypedBatch) {
   ASSERT_EQ(resp.errnum, 0);
   ASSERT_NE(resp.telemetry, nullptr);
   ASSERT_EQ(resp.telemetry->nodes.size(), 1u);
-  EXPECT_EQ(resp.telemetry->nodes.front().samples.size(), 6u);
+  EXPECT_EQ(resp.telemetry->nodes.front()->samples.size(), 6u);
   EXPECT_EQ(wire_payload(resp), historical_entry(0, 10.0, 20.0).dump());
 
   // A single-sample request keeps the newest in-window reading.
@@ -392,7 +392,7 @@ TEST_F(MonitorTest, BareGetDataGetsTypedBatch) {
   one["max_samples"] = 1;
   const flux::Message thin = ask(0, kGetDataTopic, std::move(one));
   ASSERT_NE(thin.telemetry, nullptr);
-  const flux::TelemetryNodeEntry& entry = thin.telemetry->nodes.front();
+  const flux::TelemetryNodeEntry& entry = *thin.telemetry->nodes.front();
   EXPECT_TRUE(entry.decimated);
   ASSERT_EQ(entry.samples.size(), 1u);
   EXPECT_EQ(entry.samples.front().timestamp_s, 20.0);
@@ -421,6 +421,36 @@ TEST_F(MonitorTest, BareGetSubtreeGetsTypedBatch) {
   nodes.push_back(historical_entry(1, 10.0, 20.0));
   expect["nodes"] = std::move(nodes);
   EXPECT_EQ(wire_payload(resp), expect.dump());
+}
+
+// A negative max_samples must not wrap to a huge std::size_t and ship every
+// in-window sample as a success.
+TEST_F(MonitorTest, GetDataRejectsNegativeMaxSamples) {
+  build(1);
+  sim_.run_until(30.0);
+  util::Json window = util::Json::object();
+  window["start"] = 10.0;
+  window["end"] = 20.0;
+  window["max_samples"] = -1;
+  const flux::Message resp = ask(0, kGetDataTopic, std::move(window));
+  EXPECT_EQ(resp.errnum, flux::kEInval);
+  EXPECT_EQ(resp.telemetry, nullptr);
+}
+
+TEST_F(MonitorTest, GetSubtreeRejectsNegativeMaxSamples) {
+  build(2);
+  sim_.run_until(30.0);
+  util::Json req = util::Json::object();
+  req["start"] = 10.0;
+  req["end"] = 20.0;
+  req["max_samples"] = -1;
+  util::Json ranks = util::Json::array();
+  ranks.push_back(0);
+  ranks.push_back(1);
+  req["ranks"] = std::move(ranks);
+  const flux::Message resp = ask(0, kGetSubtreeTopic, std::move(req));
+  EXPECT_EQ(resp.errnum, flux::kEInval);
+  EXPECT_EQ(resp.telemetry, nullptr);
 }
 
 TEST_F(MonitorTest, BareQueryJobGetsTypedBatch) {

@@ -1,7 +1,7 @@
-// Heap held by one node-agent sample store: a numeric block and a per-slot
-// metadata block, both sized to the slots in use and the widest sample
-// seen, plus the one-entry hostname table. At 65,536 node-agents every byte
-// here is multiplied by the site size.
+// Heap held by one node-agent sample store: one block of rows, sized to the
+// slots in use and the widest sample seen, plus the one-entry hostname
+// table. At 65,536 node-agents every byte here is multiplied by the site
+// size, and power-monitor.status reports it.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
@@ -10,7 +10,10 @@
 #include <cstdlib>
 #include <new>
 
+#include "flux/instance.hpp"
+#include "hwsim/cluster.hpp"
 #include "hwsim/ibm_ac922.hpp"
+#include "monitor/power_monitor.hpp"
 #include "monitor/sample_store.hpp"
 #include "sim/simulation.hpp"
 
@@ -38,6 +41,11 @@ void operator delete(void* p) noexcept {
   std::free(p);
 }
 void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
+// Array forms too: a sanitizer runtime supplies its own operator new[]
+// that would bypass the counter (the store's row block is a new[]).
+void* operator new[](std::size_t n) { return operator new(n); }
+void operator delete[](void* p) noexcept { operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { operator delete(p); }
 
 namespace fluxpower::monitor {
 namespace {
@@ -78,6 +86,45 @@ TEST(StoreHeap, LassenStoreFitsInThreeBlocks) {
   EXPECT_LE(bytes, 1500) << "usable heap of one capacity-16 Lassen store";
   RecordProperty("live_bytes", static_cast<int>(bytes));
   RecordProperty("live_blocks", static_cast<int>(blocks));
+}
+
+// power-monitor.status reports the ring's real footprint: one row per
+// stored sweep and the heap the store owns, as a store holding the same
+// sweeps measures it here. The allocator rounds each block up by less than
+// 16 bytes.
+TEST(StoreHeap, StatusReportsTheStoreHeap) {
+  sim::Simulation sim;
+  hwsim::Cluster cluster =
+      hwsim::make_cluster(sim, hwsim::Platform::LassenIbmAc922, 1);
+  flux::Instance instance(sim, {&cluster.node(0)});
+  PowerMonitorConfig cfg = PowerMonitorConfig::for_lassen();
+  cfg.buffer_capacity = 16;
+  instance.load_module_on_all<PowerMonitorModule>(cfg);
+  sim.run_until(101.0);
+  util::Json status;
+  instance.root().rpc(flux::kRootRank, kStatusTopic, util::Json::object(),
+                      [&](const flux::Message& resp) { status = resp.payload; });
+  sim.run_until(101.5);
+  ASSERT_EQ(status.int_or("buffer_size", 0), 16);
+
+  const auto* module = dynamic_cast<const PowerMonitorModule*>(
+      instance.root().find_module("power-monitor"));
+  ASSERT_NE(module, nullptr);
+  const ColumnarSampleStore& ring = *module->store();
+  const std::int64_t bytes_before = g_live_bytes;
+  const std::int64_t blocks_before = g_live_blocks;
+  ColumnarSampleStore same(16);
+  for (std::size_t i = 0; i < ring.size(); ++i) same.push(ring.get(i));
+  const std::int64_t measured = g_live_bytes - bytes_before;
+  const std::int64_t blocks = g_live_blocks - blocks_before;
+
+  const std::int64_t reported = status.int_or("buffer_bytes", 0);
+  EXPECT_LE(reported, measured);
+  EXPECT_GT(reported + 16 * blocks, measured);
+  // Timestamp, node, estimate, memory, 2 sockets, 4 GPUs and the metadata.
+  EXPECT_EQ(status.int_or("sample_bytes", 0), 88);
+  RecordProperty("reported_bytes", static_cast<int>(reported));
+  RecordProperty("measured_bytes", static_cast<int>(measured));
 }
 
 }  // namespace

@@ -146,10 +146,10 @@ TEST_P(SubtreeMerge, CalmWeatherMatchesGetData) {
     const std::vector<flux::Rank> subtree = tbon.subtree(o.root);
     ASSERT_EQ(o.batch->nodes.size(), subtree.size()) << "query " << i;
     EXPECT_EQ(o.responding, static_cast<std::int64_t>(subtree.size()));
-    for (const flux::TelemetryNodeEntry& entry : o.batch->nodes) {
-      EXPECT_EQ(flux::render_telemetry_entry(entry).dump(),
-                own_answer(stack, o.root, entry.rank, o.window))
-          << "query " << i << " rank " << entry.rank;
+    for (const auto& entry : o.batch->nodes) {
+      EXPECT_EQ(flux::render_telemetry_entry(*entry).dump(),
+                own_answer(stack, o.root, entry->rank, o.window))
+          << "query " << i << " rank " << entry->rank;
     }
   }
 }
@@ -184,9 +184,9 @@ TEST_P(SubtreeMerge, ChaosWeatherCoversEveryRank) {
     std::vector<flux::Rank> subtree = tbon.subtree(o.root);
     std::vector<flux::Rank> covered;
     std::int64_t answered = 0;
-    for (const flux::TelemetryNodeEntry& entry : o.batch->nodes) {
-      covered.push_back(entry.rank);
-      if (!entry.errored) ++answered;
+    for (const auto& entry : o.batch->nodes) {
+      covered.push_back(entry->rank);
+      if (!entry->errored) ++answered;
     }
     std::sort(subtree.begin(), subtree.end());
     std::sort(covered.begin(), covered.end());
