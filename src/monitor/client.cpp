@@ -32,48 +32,52 @@ double JobPowerData::max_node_power_w() const {
 }
 
 double JobPowerData::max_aggregate_power_w() const {
-  // Group samples by (quantized) timestamp across nodes; samples are taken
-  // on a common 2 s grid so exact timestamps align. A stable sort keeps
-  // each timestamp's watts in node-then-sample order, so every sum adds
-  // the same values in the same order as a per-timestamp accumulator.
-  std::size_t total = 0;
-  for (const NodePowerData& node : nodes) total += node.samples.size();
-  std::vector<std::pair<long long, double>> readings;
-  readings.reserve(total);
+  // Sum each (quantized) timestamp's watts across nodes, in node-then-sample
+  // order, in a flat vector kept sorted by timestamp. Samples are taken on a
+  // common 2 s grid, so exact timestamps align: the vector usually holds one
+  // node's worth of entries, and a node's next sample usually lands on the
+  // entry after its previous one, which is tried before a binary search.
+  std::size_t per_node = 0;
   for (const NodePowerData& node : nodes) {
+    per_node = std::max(per_node, node.samples.size());
+  }
+  std::vector<std::pair<long long, double>> by_time;
+  by_time.reserve(per_node);
+  for (const NodePowerData& node : nodes) {
+    auto it = by_time.begin();
     for (const hwsim::PowerSample& s : node.samples) {
-      readings.emplace_back(
-          static_cast<long long>(s.timestamp_s * 1000.0 + 0.5), s.best_node_w());
+      const long long key = static_cast<long long>(s.timestamp_s * 1000.0 + 0.5);
+      if (it == by_time.end() || it->first != key) {
+        it = std::lower_bound(
+            by_time.begin(), by_time.end(), key,
+            [](const auto& entry, long long k) { return entry.first < k; });
+        if (it == by_time.end() || it->first != key) {
+          it = by_time.insert(it, {key, 0.0});
+        }
+      }
+      it->second += s.best_node_w();
+      ++it;
     }
   }
-  std::stable_sort(readings.begin(), readings.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
   double m = 0.0;
-  for (std::size_t i = 0; i < readings.size();) {
-    double w = 0.0;
-    const long long key = readings[i].first;
-    for (; i < readings.size() && readings[i].first == key; ++i) {
-      w += readings[i].second;
-    }
-    m = std::max(m, w);
-  }
+  for (const auto& [t, w] : by_time) m = std::max(m, w);
   return m;
 }
 
 double JobPowerData::average_node_energy_j() const {
   if (nodes.empty()) return 0.0;
   double total = 0.0;
+  std::vector<double> ts, ws;  // reused across nodes
   for (const NodePowerData& node : nodes) {
-    // Trapezoidal integration over the node's samples (util::trapezoid's
-    // arithmetic, read straight from the samples).
-    double energy = 0.0;
-    for (std::size_t i = 1; i < node.samples.size(); ++i) {
-      const hwsim::PowerSample& a = node.samples[i - 1];
-      const hwsim::PowerSample& b = node.samples[i];
-      energy += 0.5 * (b.best_node_w() + a.best_node_w()) *
-                (b.timestamp_s - a.timestamp_s);
+    ts.clear();
+    ws.clear();
+    ts.reserve(node.samples.size());
+    ws.reserve(node.samples.size());
+    for (const hwsim::PowerSample& s : node.samples) {
+      ts.push_back(s.timestamp_s);
+      ws.push_back(s.best_node_w());
     }
-    total += energy;
+    total += util::trapezoid(ts, ws);
   }
   return total / static_cast<double>(nodes.size());
 }

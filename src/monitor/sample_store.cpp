@@ -36,24 +36,17 @@ void ColumnarSampleStore::relayout(std::size_t slot_cap,
                                    std::size_t gpu_width) {
   const std::size_t words = kScalarWords + cpu_width + gpu_width;
   auto rows = std::make_unique_for_overwrite<double[]>(slot_cap * words);
-  // Only the in-use rows move. At the same width they move as one run.
-  // Otherwise each row is re-strided: the meta, scalar and socket words
-  // keep their offsets and the GPU words shift past any added socket
-  // words. A word the widening adds is written before it is read, since
-  // every slot it covers has a count below it.
-  if (words == row_words()) {
-    if (len_ > 0) {
-      std::memcpy(rows.get(), rows_.get(), len_ * words * sizeof(double));
-    }
-  } else {
-    const std::size_t lead = kScalarWords + cpu_width_;
-    for (std::size_t p = 0; p < len_; ++p) {
-      const double* from = row(p);
-      double* to = rows.get() + p * words;
-      std::memcpy(to, from, lead * sizeof(double));
-      std::memcpy(to + kScalarWords + cpu_width, from + lead,
-                  gpu_width_ * sizeof(double));
-    }
+  // Only the in-use rows move, each re-strided: the meta, scalar and
+  // socket words keep their offsets and the GPU words shift past any added
+  // socket words. A word the widening adds is written before it is read,
+  // since every slot it covers has a count below it.
+  const std::size_t lead = kScalarWords + cpu_width_;
+  for (std::size_t p = 0; p < len_; ++p) {
+    const double* from = row(p);
+    double* to = rows.get() + p * words;
+    std::memcpy(to, from, lead * sizeof(double));
+    std::memcpy(to + kScalarWords + cpu_width, from + lead,
+                gpu_width_ * sizeof(double));
   }
   rows_ = std::move(rows);
   slot_cap_ = slot_cap;

@@ -23,8 +23,7 @@
 // and fault flags as bits of one byte. A push writes one row and `get`
 // reads one. The block grows as a whole by doubling, up to capacity, so
 // an empty store costs nothing and the block never outgrows twice the most
-// slots the store has held; a growth that keeps the row width is one
-// memcpy.
+// slots the store has held.
 //
 // The class keeps the name it had as a column store: perfbench's traced
 // binary wraps `push` by its mangled name.

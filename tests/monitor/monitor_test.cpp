@@ -180,6 +180,32 @@ TEST_F(MonitorTest, QueryJobAggregatesAcrossNodes) {
             0.9 * 3 * data->average_node_power_w());
 }
 
+// The job's peak aggregate sums each timestamp over every node that has
+// it, wherever the nodes' grids start, stop or skip, and in whatever order
+// a node lists its samples.
+TEST(JobAggregates, MaxAggregateSumsEachTimestampAcrossNodes) {
+  auto sample = [](double t, double w) {
+    hwsim::PowerSample s;
+    s.timestamp_s = t;
+    s.node_w = w;
+    return s;
+  };
+  const std::vector<hwsim::PowerSample> a = {
+      sample(0, 100), sample(2, 110), sample(4, 120), sample(6, 130)};
+  const std::vector<hwsim::PowerSample> b = {  // starts late, skips t = 4
+      sample(2, 200), sample(6, 260), sample(8, 280)};
+  const std::vector<hwsim::PowerSample> c = {  // out of order, t = 2 twice
+      sample(6, 360), sample(2, 320), sample(2, 5), sample(0, 300)};
+  JobPowerData data;
+  for (const std::vector<hwsim::PowerSample>* v : {&a, &b, &c}) {
+    NodePowerData node;
+    node.samples = *v;
+    data.nodes.push_back(std::move(node));
+  }
+  // Per timestamp: 400, 635, 120, 750 and 280 W.
+  EXPECT_DOUBLE_EQ(data.max_aggregate_power_w(), 750.0);
+}
+
 TEST_F(MonitorTest, QueryUnknownJobFails) {
   build(2);
   MonitorClient client(*instance_);
