@@ -54,15 +54,25 @@ std::vector<WorkloadJob> random_queue(std::uint64_t seed, int count,
   return jobs;
 }
 
-flux::JobSpec to_jobspec(const WorkloadJob& job) {
+flux::JobSpec make_jobspec(AppKind kind, hwsim::Platform platform, int nnodes,
+                           double work_scale, double eco_tolerance) {
   flux::JobSpec spec;
-  spec.name = std::string(app_kind_name(job.kind)) + "-" +
-              std::to_string(job.nnodes) + "n";
-  spec.app = app_kind_name(job.kind);
-  spec.nnodes = job.nnodes;
+  spec.name =
+      std::string(app_kind_name(kind)) + "-" + std::to_string(nnodes) + "n";
+  spec.app = app_kind_name(kind);
+  spec.nnodes = nnodes;
   spec.tasks_per_node = 4;
   spec.attributes = util::Json::object();
-  spec.attributes["work_scale"] = job.work_scale;
+  spec.attributes["work_scale"] = work_scale;
+  // The power-aware scheduling policies admit against the model's peak
+  // estimate (FCFS/backfill ignore it).
+  spec.attributes["power_estimate_w_per_node"] = estimate_peak_node_power_w(
+      make_profile(kind, platform, std::max(1, nnodes), work_scale));
+  if (eco_tolerance > 0.0) {
+    // Eco-mode enrollment travels like any other user attribute; absent
+    // for non-enrolled jobs.
+    spec.attributes["eco_tolerance"] = eco_tolerance;
+  }
   return spec;
 }
 

@@ -31,7 +31,10 @@ std::vector<WorkloadJob> random_queue(std::uint64_t seed, int count,
                                       int max_nodes,
                                       const std::vector<AppKind>& kinds);
 
-/// Convert to a flux jobspec.
-flux::JobSpec to_jobspec(const WorkloadJob& job);
+/// The jobspec every submission path builds: "<app>-<n>n", four tasks per
+/// node, and the attributes work_scale, the model's per-node peak-power
+/// estimate and, when positive, eco_tolerance, inserted in that order.
+flux::JobSpec make_jobspec(AppKind kind, hwsim::Platform platform, int nnodes,
+                           double work_scale, double eco_tolerance);
 
 }  // namespace fluxpower::apps

@@ -272,25 +272,9 @@ flux::JobId Scenario::submit(const JobRequest& request) {
   // Reserve the JobId up front by submitting through a deferred event; ids
   // are assigned in submission order, which equals event order because the
   // event queue is FIFO at equal timestamps.
-  flux::JobSpec spec;
-  spec.name = std::string(apps::app_kind_name(request.kind)) + "-" +
-              std::to_string(request.nnodes) + "n";
-  spec.app = apps::app_kind_name(request.kind);
-  spec.nnodes = request.nnodes;
-  spec.tasks_per_node = 4;
-  spec.attributes = util::Json::object();
-  spec.attributes["work_scale"] = request.work_scale;
-  // Attach the model's peak-power estimate so the power-aware scheduling
-  // policy can admit against it (ignored by FCFS/backfill).
-  spec.attributes["power_estimate_w_per_node"] = apps::estimate_peak_node_power_w(
-      apps::make_profile(request.kind, config_.platform,
-                         std::max(1, request.nnodes), request.work_scale));
-  if (request.eco_tolerance > 0.0) {
-    // Eco-mode enrollment travels in the jobspec like any other user
-    // attribute; absent for non-enrolled jobs so legacy specs are
-    // byte-identical.
-    spec.attributes["eco_tolerance"] = request.eco_tolerance;
-  }
+  const flux::JobSpec spec =
+      apps::make_jobspec(request.kind, config_.platform, request.nnodes,
+                         request.work_scale, request.eco_tolerance);
 
   // JobIds are sequential starting at 1 in submission order across the
   // whole instance; predict this job's id for result bookkeeping.

@@ -166,7 +166,7 @@ class Scenario {
   int completed_jobs() const noexcept { return completed_; }
   std::size_t submitted_jobs() const noexcept { return tracked_.size(); }
   const ScenarioConfig& config() const noexcept { return config_; }
-  /// Recorder output so far (twin codec: derived-but-reported state — two
+  /// Recorder output so far (twin probe: derived-but-reported state — two
   /// runs must agree on every recorded point or stdout diverges). Sharded:
   /// merged on demand from the per-cell recorders; call only between
   /// windows (after an advance_until returned).

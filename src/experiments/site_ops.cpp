@@ -5,13 +5,12 @@
 #include <memory>
 #include <stdexcept>
 
-#include "apps/app_model.hpp"
 #include "apps/launcher.hpp"
+#include "apps/workload.hpp"
 #include "flux/instance.hpp"
 #include "manager/power_manager.hpp"
 #include "manager/site_coordinator.hpp"
 #include "sim/simulation.hpp"
-#include "util/json.hpp"
 
 namespace fluxpower::experiments {
 
@@ -183,21 +182,9 @@ SiteOpsResult run_site_ops(const SiteOpsConfig& config) {
     tracked.push_back(t);
     sim.schedule_at(t.actual_submit_s, [mp, i, &arrivals] {
       const SiteJobSpec& job = arrivals[i];
-      flux::JobSpec spec;
-      spec.name = std::string(apps::app_kind_name(job.kind)) + "-" +
-                  std::to_string(job.nnodes) + "n";
-      spec.app = apps::app_kind_name(job.kind);
-      spec.nnodes = job.nnodes;
-      spec.tasks_per_node = 4;
-      spec.attributes = util::Json::object();
-      spec.attributes["work_scale"] = job.work_scale;
-      spec.attributes["power_estimate_w_per_node"] =
-          apps::estimate_peak_node_power_w(apps::make_profile(
-              job.kind, mp->spec.platform, std::max(1, job.nnodes),
-              job.work_scale));
-      if (job.eco_tolerance > 0.0) {
-        spec.attributes["eco_tolerance"] = job.eco_tolerance;
-      }
+      const flux::JobSpec spec =
+          apps::make_jobspec(job.kind, mp->spec.platform, job.nnodes,
+                             job.work_scale, job.eco_tolerance);
       const flux::JobId id = mp->instance->jobs().submit(spec);
       mp->by_id[id] = i;
     });

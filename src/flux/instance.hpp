@@ -127,9 +127,6 @@ class Instance {
   void set_fault_injector(RouteFaultInjector* injector) noexcept {
     fault_injector_ = injector;
   }
-  RouteFaultInjector* fault_injector() const noexcept {
-    return fault_injector_;
-  }
 
   /// Messages (or broadcast legs) discarded by the fault injector.
   std::uint64_t messages_dropped() const noexcept {

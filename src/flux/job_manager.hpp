@@ -61,7 +61,7 @@ class JobManager {
   std::vector<JobId> all_jobs() const;
   int running_count() const;
 
-  /// Next JobId to be assigned (twin codec: id allocation is sim state).
+  /// Next JobId to be assigned (twin probe: id allocation is sim state).
   JobId next_id() const noexcept { return next_id_; }
 
   /// Called by the scheduler when an allocation is granted.

@@ -61,9 +61,6 @@ class Scheduler {
   /// policy must not wait for the next enqueue/release.
   void set_policy(std::string_view name);
   const char* policy_name() const noexcept { return policy_obj_->name(); }
-  const policy::SchedulerPolicy& policy_object() const noexcept {
-    return *policy_obj_;
-  }
 
   /// Add a job to the wait queue and try to place it.
   void enqueue(JobId id);
@@ -95,11 +92,11 @@ class Scheduler {
   void set_power_budget(double cluster_bound_w, double node_peak_w);
   /// Peak power currently admitted (sum of running-job estimates).
   double admitted_power_w() const noexcept { return admitted_power_w_; }
-  /// Power-admission ledger: running job -> charged estimate (twin codec).
+  /// Power-admission ledger: running job -> charged estimate (twin probe).
   const std::map<JobId, double>& admitted() const noexcept {
     return admitted_;
   }
-  /// Wait-queue contents in scan order (twin codec).
+  /// Wait-queue contents in scan order (twin probe).
   const std::deque<JobId>& queued_jobs() const noexcept { return queue_; }
 
   /// Self-cap the installed policy requests for `job` (eco-mode), 0 = none;
@@ -116,7 +113,6 @@ class Scheduler {
   /// (they could never be placed). The rule only looks at cells — never
   /// at islands — so placement is identical for every shard count.
   void set_cell_confinement(std::vector<std::vector<Rank>> cells);
-  bool cell_confined() const noexcept { return !cells_.empty(); }
   int max_cell_size() const noexcept;
 
   /// Sharded execution profile: coalesce kicks into one zero-delay event

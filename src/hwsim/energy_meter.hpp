@@ -20,8 +20,6 @@ class EnergyMeter {
   /// level up to `now` without mutating state).
   double joules(sim::Time now) const;
 
-  double current_watts() const noexcept { return watts_; }
-
   /// Reset the accumulator (job-scoped metering). Like update()/joules(),
   /// throws std::logic_error if `now` precedes the last recorded time — a
   /// backwards reset would silently re-bill the rewound interval at the

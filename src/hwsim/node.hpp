@@ -109,7 +109,7 @@ class Node {
     stolen_s_ = 0.0;
     return s;
   }
-  /// Undrained stolen seconds (read-only; the twin codec digests this —
+  /// Undrained stolen seconds (read-only; the twin probe digests this —
   /// pending interference is sim state the runtime has not yet consumed).
   double stolen_time() const noexcept { return stolen_s_; }
 
@@ -125,7 +125,7 @@ class Node {
   /// jitter at the ~0.5% level; tables integrate the exact meter instead.
   void set_sensor_noise(double sigma) { sensor_noise_ = sigma; }
   void reseed_sensor_noise(std::uint64_t seed) { rng_.reseed(seed); }
-  /// Sensor-noise substream position (twin codec: the next noisy read of a
+  /// Sensor-noise substream position (twin probe: the next noisy read of a
   /// restored replica must draw the same deviate as the original run).
   const util::Rng& sensor_rng() const noexcept { return rng_; }
 

@@ -91,17 +91,16 @@ void FppNodePlugin::arm() {
   controllers_.resize(static_cast<std::size_t>(mod_.managed_domain_count()));
   on_limit_refresh();
   const PowerManagerConfig& config = mod_.config();
-  every(config.fpp.sample_period_s, [this, &config] {
+  every(config.fpp.sample_period_s, [this] {
     // Typed sample straight off the sensors: the FPP window feed never
     // touches JSON.
-    hwsim::Node& node = *mod_.broker().node();
-    const hwsim::PowerSample s = variorum::get_node_power_sample(node);
+    const hwsim::PowerSample s =
+        variorum::get_node_power_sample(*mod_.broker().node());
     const std::span<const double> per_domain = mod_.managed_w(s);
     for (std::size_t i = 0; i < controllers_.size() && i < per_domain.size();
          ++i) {
       controllers_[i]->add_power_sample(per_domain[i]);
     }
-    if (config.sample_cost_s > 0.0) node.add_stolen_time(config.sample_cost_s);
     return true;
   });
   every(config.fpp.fft_update_s, [this, &config] {

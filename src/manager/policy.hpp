@@ -119,11 +119,6 @@ struct PowerManagerConfig {
   /// Node-level enforcement loop period (budget re-derivation).
   double control_period_s = 10.0;
 
-  /// CPU time stolen per manager telemetry sweep. Default 0: in production
-  /// the manager shares the monitor's samples; the monitor carries the
-  /// overhead accounting.
-  double sample_cost_s = 0.0;
-
   /// Park unallocated nodes in the platform low-power state (deeper
   /// C-states, fans down) and wake them on allocation. Off by default to
   /// match the paper's experiments; the queue bench quantifies the saving.

@@ -25,13 +25,13 @@
 //   * admit() is consulted once per queued job per scan; it must not
 //     mutate shared state (the scheduler owns the ledger and commits the
 //     admission charge only when the job actually starts).
-//   * Mutable policy state must be exposed via encode_state() so the twin's
-//     POL section can fingerprint it (FNV-1a digest tripwires).
+//   * Scheduler policies hold no mutable state: the twin's POL section
+//     fingerprints the scheduler's ledger and queue, and each node
+//     plugin's own state via NodePolicyPlugin::encode_state().
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "flux/jobspec.hpp"
 
@@ -107,12 +107,6 @@ class SchedulerPolicy {
   virtual double requested_node_power_w(const flux::Job& job) const {
     (void)job;
     return 0.0;
-  }
-
-  /// Serialize mutable policy state for the twin's POL section (empty for
-  /// stateless policies). Must be deterministic.
-  virtual void encode_state(std::vector<std::uint8_t>& out) const {
-    (void)out;
   }
 };
 

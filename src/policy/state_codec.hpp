@@ -1,8 +1,8 @@
 // state_codec.hpp — tiny append-only encoders for policy state blobs.
 //
-// Policies serialize their mutable state into a raw byte vector (the twin
-// wraps those blobs in its framed POL section and digests them). Layout
-// matches the twin codec's primitives — little-endian fixed width, f64 as
+// Node plugins serialize their mutable state into a raw byte vector (the
+// twin carries those blobs in its POL section and digests them). Layout
+// matches twin::ByteWriter's primitives — little-endian fixed width, f64 as
 // IEEE bits — so the blobs are stable across platforms and the digests are
 // meaningful determinism tripwires.
 #pragma once

@@ -228,9 +228,9 @@ class Simulation {
   /// Monotone insertion-sequence counter — the tie-break half of the
   /// (time, seq) total order. Two runs that agree on now(), pending() and
   /// seq_counter() have scheduled exactly the same number of events in the
-  /// same causal positions; the twin codec digests it for that reason.
+  /// same causal positions; the twin probe digests it for that reason.
   std::uint64_t seq_counter() const noexcept { return next_seq_; }
-  /// Timer-wheel epoch state (digested by the twin codec; a replayed run
+  /// Timer-wheel epoch state (digested by the twin probe; a replayed run
   /// must land on the identical epoch or far-heap contents could differ).
   Time wheel_epoch_base() const noexcept { return wheel_base_; }
   int wheel_cursor() const noexcept { return cursor_; }

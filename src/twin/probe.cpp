@@ -210,8 +210,8 @@ void encode_mgr(ByteWriter& w, experiments::Scenario& sc) {
 }
 
 void encode_pol(ByteWriter& w, experiments::Scenario& sc) {
-  // Scheduler-side policy plane: identity, power-admission ledger, queue
-  // contents (scan order), and the policy object's opaque state blob.
+  // Scheduler-side policy plane: identity, power-admission ledger, and
+  // queue contents (scan order). Scheduler policies are stateless.
   flux::Scheduler& sched = sc.instance().scheduler();
   w.str(sched.policy_name());
   w.f64(sched.admitted_power_w());
@@ -224,12 +224,9 @@ void encode_pol(ByteWriter& w, experiments::Scenario& sc) {
   const auto& queue = sched.queued_jobs();
   w.u32(static_cast<std::uint32_t>(queue.size()));
   for (flux::JobId id : queue) w.u64(id);
-  std::vector<std::uint8_t> blob;
-  sched.policy_object().encode_state(blob);
-  w.u32(static_cast<std::uint32_t>(blob.size()));
-  w.bytes(blob);
 
   // Node-side plugins, rank order: plugin identity + opaque state blob.
+  std::vector<std::uint8_t> blob;
   flux::Instance& inst = sc.instance();
   w.u32(static_cast<std::uint32_t>(inst.size()));
   for (int rank = 0; rank < inst.size(); ++rank) {
@@ -314,42 +311,6 @@ std::uint64_t StateImage::digest() const noexcept {
     d.update(&s.digest, sizeof(s.digest));
   }
   return d.value();
-}
-
-void StateImage::encode(ByteWriter& w) const {
-  w.u32(static_cast<std::uint32_t>(sections.size()));
-  for (const StateSection& s : sections) {
-    w.u32(s.tag);
-    w.u32(s.version);
-    w.u64(static_cast<std::uint64_t>(s.bytes.size()));
-    w.bytes(s.bytes);
-    w.u64(s.digest);
-  }
-}
-
-StateImage StateImage::decode(ByteReader& r) {
-  StateImage image;
-  const std::uint32_t n = r.u32();
-  image.sections.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    StateSection s;
-    s.tag = r.u32();
-    s.version = r.u32();
-    if (s.version != kSectionVersion) {
-      throw CodecError("StateImage: section " + fourcc_name(s.tag) +
-                       " has unsupported version " + std::to_string(s.version));
-    }
-    const std::uint64_t len = r.u64();
-    const auto raw = r.raw(static_cast<std::size_t>(len));
-    s.bytes.assign(raw.begin(), raw.end());
-    s.digest = r.u64();
-    if (s.digest != Digest64::of(s.bytes)) {
-      throw CodecError("StateImage: section " + fourcc_name(s.tag) +
-                       " digest does not match its payload (corrupt bytes)");
-    }
-    image.sections.push_back(std::move(s));
-  }
-  return image;
 }
 
 StateImage capture_state(experiments::Scenario& scenario) {

@@ -3,7 +3,7 @@
 // The probe walks every layer of a running Scenario — event engine, node
 // hardware, broker plane, job ledger, monitor rings, manager
 // control state, fault plane substreams, scenario bookkeeping — and encodes
-// each into its own framed, versioned, digested section. Two process states
+// each into its own tagged, digested section. Two process states
 // that produce identical StateImages are observably equivalent: every
 // downstream output (tables, timelines, metrics) is a pure function of the
 // captured state plus the deterministic event future.
@@ -38,14 +38,12 @@ inline constexpr std::uint32_t kTagPol = fourcc('P', 'O', 'L', '!');
 inline constexpr std::uint32_t kTagFault = fourcc('F', 'L', 'T', '!');
 inline constexpr std::uint32_t kTagScen = fourcc('S', 'C', 'E', 'N');
 
-/// Bump when a section's byte layout changes; decode rejects mismatches.
-inline constexpr std::uint32_t kSectionVersion = 1;
-
 struct StateSection {
   std::uint32_t tag = 0;
-  std::uint32_t version = kSectionVersion;
   std::vector<std::uint8_t> bytes;
   std::uint64_t digest = 0;  ///< Digest64 of bytes
+
+  bool operator==(const StateSection&) const = default;
 };
 
 /// The full per-layer image of one scenario at one instant.
@@ -56,8 +54,7 @@ struct StateImage {
   /// Digest of digests, in section order — the state fingerprint.
   std::uint64_t digest() const noexcept;
 
-  void encode(ByteWriter& w) const;
-  static StateImage decode(ByteReader& r);
+  bool operator==(const StateImage&) const = default;
 };
 
 /// Capture every section from a live scenario. The FLT section is emitted

@@ -21,8 +21,7 @@ std::unique_ptr<TwinSession> Snapshot::restore_with_spec(
   const StateImage replayed = capture_state(session->scenario());
   for (const StateSection& stored : image_.sections) {
     const StateSection* live = replayed.find(stored.tag);
-    if (live == nullptr || live->digest != stored.digest ||
-        live->bytes != stored.bytes) {
+    if (live == nullptr || *live != stored) {
       throw SnapshotMismatch(
           "Snapshot::restore: replayed state diverges from the captured "
           "image at t=" +
@@ -31,40 +30,6 @@ std::unique_ptr<TwinSession> Snapshot::restore_with_spec(
     }
   }
   return session;
-}
-
-std::vector<std::uint8_t> Snapshot::encode() const {
-  ByteWriter w;
-  w.u32(kSnapshotMagic);
-  w.u32(kSnapshotVersion);
-  spec_.encode(w);
-  w.f64(t_snapshot_);
-  image_.encode(w);
-  return std::move(w).take();
-}
-
-Snapshot Snapshot::decode(std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
-  const std::uint32_t magic = r.u32();
-  if (magic != kSnapshotMagic) {
-    throw CodecError("Snapshot: bad magic " + fourcc_name(magic) +
-                     " (expected " + fourcc_name(kSnapshotMagic) + ")");
-  }
-  const std::uint32_t version = r.u32();
-  if (version != kSnapshotVersion) {
-    throw CodecError("Snapshot: unsupported container version " +
-                     std::to_string(version) + " (this build reads " +
-                     std::to_string(kSnapshotVersion) + ")");
-  }
-  Snapshot snap;
-  snap.spec_ = TwinSpec::decode(r);
-  snap.t_snapshot_ = r.f64();
-  snap.image_ = StateImage::decode(r);
-  if (!r.done()) {
-    throw CodecError("Snapshot: " + std::to_string(r.remaining()) +
-                     " trailing bytes after container");
-  }
-  return snap;
 }
 
 }  // namespace fluxpower::twin

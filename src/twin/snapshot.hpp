@@ -1,10 +1,11 @@
 // snapshot.hpp — deterministic snapshot/restore for the digital twin.
 //
 // A Snapshot is {spec, time, state image}: the scenario's genome, the
-// instant it was captured, and the framed per-layer serialization of
-// everything observable at that instant (see probe.hpp).
+// instant it was captured, and the per-layer serialization of everything
+// observable at that instant (see probe.hpp). Snapshots live in memory
+// only; forks share one by pointer.
 //
-// Restore is REPLAY-BASED AND CODEC-VERIFIED, not memcpy-based. The event
+// Restore is REPLAY-BASED AND BYTE-VERIFIED, not memcpy-based. The event
 // engine's queue holds type-erased closures over live object graphs, which
 // no byte codec can rehydrate; but the whole stack is deterministic, so
 // rebuilding the scenario from its spec and fast-forwarding to the capture
@@ -14,17 +15,12 @@
 // diff instead of handing back a subtly different twin. The stored image is
 // therefore load-bearing: it is the tripwire that converts "we believe the
 // sim is deterministic" into a checked invariant at every restore.
-//
-// encode()/decode() give snapshots a stable wire form ('FPTW' magic,
-// container version, spec, image) so they can be persisted or shipped;
-// decode() re-verifies every section digest against its payload.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "twin/probe.hpp"
 #include "twin/session.hpp"
@@ -32,13 +28,9 @@
 
 namespace fluxpower::twin {
 
-/// Snapshot container magic + version (independent of spec/section versions).
-inline constexpr std::uint32_t kSnapshotMagic = fourcc('F', 'P', 'T', 'W');
-inline constexpr std::uint32_t kSnapshotVersion = 1;
-
 /// A replayed scenario failed byte-for-byte verification against the stored
-/// image — the determinism contract is broken (or the snapshot came from a
-/// different build). The message carries the per-section divergence.
+/// image — the determinism contract is broken. The message carries the
+/// per-section divergence.
 class SnapshotMismatch : public std::runtime_error {
  public:
   explicit SnapshotMismatch(const std::string& what)
@@ -71,10 +63,6 @@ class Snapshot {
   /// skipped.
   std::unique_ptr<TwinSession> restore_with_spec(
       const TwinSpec& spec_override) const;
-
-  // -- Wire form -------------------------------------------------------------
-  std::vector<std::uint8_t> encode() const;
-  static Snapshot decode(std::span<const std::uint8_t> bytes);
 
  private:
   Snapshot() = default;

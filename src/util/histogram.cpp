@@ -25,10 +25,6 @@ void Histogram::add(double value) {
   }
 }
 
-void Histogram::add_all(const std::vector<double>& values) {
-  for (double v : values) add(v);
-}
-
 std::uint64_t Histogram::count(std::size_t bin) const {
   if (bin >= counts_.size()) throw std::out_of_range("Histogram::count");
   return counts_[bin];

@@ -19,7 +19,6 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t bins);
 
   void add(double value);
-  void add_all(const std::vector<double>& values);
 
   std::size_t bins() const noexcept { return counts_.size(); }
   std::uint64_t count(std::size_t bin) const;

@@ -75,7 +75,7 @@ class Rng {
   double exponential(double mean);
 
   /// The full 256-bit generator state, exposed for the digital twin's
-  /// state codec: a substream's position *is* sim state (two runs agreeing
+  /// state probe: a substream's position *is* sim state (two runs agreeing
   /// on every stream position will draw identical futures).
   struct State {
     std::uint64_t s[4] = {};
@@ -83,9 +83,6 @@ class Rng {
   };
   State state() const noexcept {
     return State{{state_[0], state_[1], state_[2], state_[3]}};
-  }
-  void set_state(const State& st) noexcept {
-    for (int i = 0; i < 4; ++i) state_[i] = st.s[i];
   }
 
  private:

@@ -2,38 +2,16 @@
 // single cap write and a multi-GPU cap write run without touching the heap.
 #include <gtest/gtest.h>
 
-#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <new>
 
 #include "apps/app_runtime.hpp"
+#include "counting_allocator.hpp"
 #include "hwsim/arm_grace.hpp"
 #include "hwsim/cray_ex235a.hpp"
 #include "hwsim/ibm_ac922.hpp"
 #include "hwsim/intel_xeon.hpp"
 #include "variorum/variorum.hpp"
-
-// Test-local operator-new counter (the engine_internals_test pattern).
-// Scoped to this binary; each measured region reads the counter right
-// before and after, with no gtest bookkeeping in between.
-namespace {
-std::uint64_t g_news = 0;
-}
-void* operator new(std::size_t n) {
-  ++g_news;
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  ++g_news;
-  return std::malloc(n);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace fluxpower::hwsim {
 namespace {
@@ -66,15 +44,15 @@ TEST(HotPathAlloc, AppStepOverMixedVendorsAllocatesNothing) {
   ASSERT_TRUE(sim.step());
   ASSERT_TRUE(sim.step());
 
-  std::uint64_t before = g_news;
+  std::uint64_t before = test::heap_allocations();
   const bool stepped = sim.step();
-  std::uint64_t after = g_news;
+  std::uint64_t after = test::heap_allocations();
   ASSERT_TRUE(stepped);
   EXPECT_EQ(after - before, 0u);
 
-  before = g_news;
+  before = test::heap_allocations();
   sim.run_until(sim.now() + 100.0);  // 200 more steps, across phases
-  after = g_news;
+  after = test::heap_allocations();
   EXPECT_EQ(after - before, 0u);
   EXPECT_FALSE(done);
   EXPECT_GT(rt.work_done(), 0.0);
@@ -90,21 +68,21 @@ TEST(HotPathAlloc, SingleCapWritesAllocateNothing) {
   lassen.set_gpu_power_cap(0, 250.0);  // warm-up
   xeon.set_socket_power_cap(0, 200.0);
 
-  std::uint64_t before = g_news;
+  std::uint64_t before = test::heap_allocations();
   const CapResult gpu = lassen.set_gpu_power_cap(1, 200.0);
-  std::uint64_t after = g_news;
+  std::uint64_t after = test::heap_allocations();
   EXPECT_EQ(after - before, 0u);
   EXPECT_TRUE(gpu.ok());
 
-  before = g_news;
+  before = test::heap_allocations();
   const CapResult node = lassen.set_node_power_cap(1800.0);
-  after = g_news;
+  after = test::heap_allocations();
   EXPECT_EQ(after - before, 0u);
   EXPECT_TRUE(node.ok());
 
-  before = g_news;
+  before = test::heap_allocations();
   const CapResult socket = xeon.set_socket_power_cap(1, 150.0);
-  after = g_news;
+  after = test::heap_allocations();
   EXPECT_EQ(after - before, 0u);
   EXPECT_TRUE(socket.ok());
 }
@@ -115,13 +93,23 @@ TEST(HotPathAlloc, CapEachGpuAllocatesNothing) {
   lassen.set_demand(busy_ac922());
   (void)variorum::cap_each_gpu_power_limit(lassen, 250.0);  // warm-up
 
-  const std::uint64_t before = g_news;
+  const std::uint64_t before = test::heap_allocations();
   const variorum::GpuCapResults results =
       variorum::cap_each_gpu_power_limit(lassen, 200.0);
-  const std::uint64_t after = g_news;
+  const std::uint64_t after = test::heap_allocations();
   EXPECT_EQ(after - before, 0u);
   ASSERT_EQ(results.size(), 4u);
   for (const CapResult& r : results) EXPECT_TRUE(r.ok());
+}
+
+// The gates above see array allocations too: a sanitizer runtime's own
+// operator new[] would otherwise bypass the counter.
+TEST(HotPathAlloc, CounterSeesArrayNew) {
+  const std::uint64_t before = test::heap_allocations();
+  void* block = ::operator new[](64);
+  const std::uint64_t after = test::heap_allocations();
+  ::operator delete[](block);
+  EXPECT_EQ(after - before, 1u);
 }
 
 }  // namespace

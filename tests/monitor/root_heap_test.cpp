@@ -7,48 +7,20 @@
 // pointer. The rings are full (capacity 16), so sampling allocates nothing
 // in between.
 #include <gtest/gtest.h>
-#include <malloc.h>
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <numeric>
 #include <utility>
 #include <vector>
 
 #include "apps/launcher.hpp"
+#include "counting_allocator.hpp"
 #include "flux/instance.hpp"
 #include "hwsim/cluster.hpp"
 #include "monitor/client.hpp"
 #include "monitor/power_monitor.hpp"
-
-// Test-local operator-new counter (the monitor_store_heap_test pattern):
-// live usable bytes, so allocator rounding counts too, and the requested
-// bytes of every allocation. Scoped to this binary.
-namespace {
-std::int64_t g_live_bytes = 0;
-std::uint64_t g_allocated_bytes = 0;
-}  // namespace
-void* operator new(std::size_t n) {
-  void* p = std::malloc(n);
-  if (p == nullptr) throw std::bad_alloc{};
-  g_live_bytes += static_cast<std::int64_t>(malloc_usable_size(p));
-  g_allocated_bytes += n;
-  return p;
-}
-void operator delete(void* p) noexcept {
-  if (p == nullptr) return;
-  g_live_bytes -= static_cast<std::int64_t>(malloc_usable_size(p));
-  std::free(p);
-}
-void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
-// Array forms too: a sanitizer runtime supplies its own operator new[]
-// that would bypass the counter (the store's row block is a new[]).
-void* operator new[](std::size_t n) { return operator new(n); }
-void operator delete[](void* p) noexcept { operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { operator delete(p); }
 
 namespace fluxpower::monitor {
 namespace {
@@ -100,11 +72,11 @@ TEST_F(RootHeap, RepeatedJobQueriesLeaveHeapFlat) {
     ASSERT_EQ(data->nodes.size(), static_cast<std::size_t>(kNodes));
     sim_.run_until(sim_.now() + 20.0);
   };
-  const std::int64_t before = g_live_bytes;
+  const std::int64_t before = test::heap_live_bytes();
   ASSERT_NO_FATAL_FAILURE(query());
-  const std::int64_t warmed = g_live_bytes;
+  const std::int64_t warmed = test::heap_live_bytes();
   for (int q = 0; q < 20; ++q) ASSERT_NO_FATAL_FAILURE(query());
-  const std::int64_t after = g_live_bytes;
+  const std::int64_t after = test::heap_live_bytes();
 
   EXPECT_EQ(after, warmed) << "repeated queries hold no heap";
   // A per-rank mirror of a capacity-16 Lassen ring takes about 1.6 KB, so
@@ -123,9 +95,9 @@ TEST_F(RootHeap, WindowQueryCopiesEachSampleOnce) {
   MonitorClient client(*instance_);
   std::vector<flux::Rank> ranks(kNodes);
   std::iota(ranks.begin(), ranks.end(), 0);
-  const std::uint64_t before = g_allocated_bytes;
+  const std::uint64_t before = test::heap_requested_bytes();
   const auto data = client.query_window_blocking(ranks, 0.0, sim_.now());
-  const std::uint64_t allocated = g_allocated_bytes - before;
+  const std::uint64_t allocated = test::heap_requested_bytes() - before;
   ASSERT_TRUE(data.has_value());
   ASSERT_EQ(data->nodes.size(), static_cast<std::size_t>(kNodes));
   std::size_t samples = 0;

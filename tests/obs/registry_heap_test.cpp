@@ -4,40 +4,14 @@
 // the site size.
 #include <gtest/gtest.h>
 
-#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <new>
 #include <vector>
 
+#include "counting_allocator.hpp"
 #include "experiments/scenario.hpp"
 #include "obs/metrics.hpp"
 #include "util/json.hpp"
-
-// Test-local operator-new counter (the hot_path_alloc_test pattern), extended
-// to live bytes: each block carries its requested size in a header, so
-// delete can subtract it. Scoped to this binary.
-namespace {
-constexpr std::size_t kHeader = alignof(std::max_align_t);
-std::int64_t g_live_bytes = 0;
-std::uint64_t g_news = 0;
-}  // namespace
-void* operator new(std::size_t n) {
-  auto* base = static_cast<unsigned char*>(std::malloc(n + kHeader));
-  if (base == nullptr) throw std::bad_alloc{};
-  *reinterpret_cast<std::size_t*>(base) = n;
-  g_live_bytes += static_cast<std::int64_t>(n);
-  ++g_news;
-  return base + kHeader;
-}
-void operator delete(void* p) noexcept {
-  if (p == nullptr) return;
-  auto* base = static_cast<unsigned char*>(p) - kHeader;
-  g_live_bytes -= static_cast<std::int64_t>(
-      *reinterpret_cast<std::size_t*>(base));
-  std::free(base);
-}
-void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
 
 namespace fluxpower::obs {
 namespace {
@@ -81,16 +55,17 @@ TEST(RegistryHeap, BrokerAndMonitorInstrumentsFitInTwoKilobytes) {
   register_all(instruments, warm_up);
   const std::size_t schemas = interned_schema_count();
 
-  const std::int64_t before = g_live_bytes;
+  const std::int64_t before = test::heap_live_bytes();
   std::int64_t held = 0;
   {
     MetricsRegistry reg;
     register_all(instruments, reg);
-    held = g_live_bytes - before;
+    held = test::heap_live_bytes() - before;
     EXPECT_EQ(reg.size(), 16u);
     EXPECT_EQ(reg.to_json().dump(), warm_up.to_json().dump());
   }
-  EXPECT_EQ(g_live_bytes, before) << "a destroyed registry returns its heap";
+  EXPECT_EQ(test::heap_live_bytes(), before)
+      << "a destroyed registry returns its heap";
   EXPECT_LE(held, 2048) << "live heap of one broker's registry";
   EXPECT_EQ(interned_schema_count(), schemas)
       << "a schema is interned once per process, not once per registry";
@@ -101,15 +76,26 @@ TEST(RegistryHeap, LookupsAllocateNothing) {
   MetricsRegistry reg;
   Counter& c = reg.counter("fluxpower_heap_test_total", "help");
   c.inc(2);
-  const std::uint64_t before = g_news;
+  const std::uint64_t before = test::heap_allocations();
   const auto known = reg.value("fluxpower_heap_test_total");
   const auto unknown = reg.value("fluxpower_heap_test_never_registered");
   Counter& again = reg.counter("fluxpower_heap_test_total", "help");
-  const std::uint64_t after = g_news;
+  const std::uint64_t after = test::heap_allocations();
   EXPECT_EQ(after - before, 0u);
   EXPECT_EQ(known, 2.0);
   EXPECT_FALSE(unknown.has_value());
   EXPECT_EQ(&again, &c);
+}
+
+// The live-bytes gate sees array allocations too: a sanitizer runtime's own
+// operator new[] would otherwise bypass the counter.
+TEST(RegistryHeap, CounterSeesArrayNew) {
+  const std::int64_t before = test::heap_live_bytes();
+  void* block = ::operator new[](256);
+  const std::int64_t held = test::heap_live_bytes() - before;
+  ::operator delete[](block);
+  EXPECT_GE(held, 256);
+  EXPECT_EQ(test::heap_live_bytes(), before);
 }
 
 }  // namespace

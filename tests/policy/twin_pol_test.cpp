@@ -1,7 +1,6 @@
 // The twin's policy-state section (POL): presence, sensitivity to policy
-// activity, and the acceptance criterion that snapshot/restore round-trips
-// it — a restored twin's POL bytes are verified against the capture by the
-// replay-based restore itself.
+// activity, and snapshot/restore round-trips it — a restored twin's POL
+// bytes are verified against the capture by the replay-based restore itself.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -53,7 +52,6 @@ TEST(TwinPolTest, CaptureEmitsPolSection) {
   const StateSection* pol = image.find(kTagPol);
   ASSERT_NE(pol, nullptr);
   EXPECT_FALSE(pol->bytes.empty());
-  EXPECT_EQ(pol->version, kSectionVersion);
 }
 
 // The section must track policy activity: the digest moves between an
@@ -92,30 +90,23 @@ TEST(TwinPolTest, PolSectionIsDeterministic) {
   }
 }
 
-// Acceptance criterion: snapshot/restore round-trips the POL section.
-// restore() replays the spec and verifies EVERY stored section byte-for-
-// byte (POL included) before returning; encode/decode re-verifies digests.
+// Snapshot/restore round-trips the POL section: restore() replays the spec
+// and verifies EVERY stored section byte-for-byte (POL included) before
+// returning.
 TEST(TwinPolTest, SnapshotRestoreRoundTripsPolSection) {
   TwinSession session(make_policy_spec());
   session.advance_to(45.0);
   const Snapshot snap = Snapshot::capture(session);
-  ASSERT_NE(snap.image().find(kTagPol), nullptr);
-
-  // Wire round-trip preserves the section bit-exactly.
-  const Snapshot decoded = Snapshot::decode(snap.encode());
   const StateSection* stored = snap.image().find(kTagPol);
-  const StateSection* wired = decoded.image().find(kTagPol);
-  ASSERT_NE(wired, nullptr);
-  EXPECT_EQ(wired->digest, stored->digest);
-  EXPECT_EQ(wired->bytes, stored->bytes);
+  ASSERT_NE(stored, nullptr);
 
   // Replay-based restore verifies POL (and every other section) or throws.
   std::unique_ptr<TwinSession> restored;
-  ASSERT_NO_THROW(restored = decoded.restore());
+  ASSERT_NO_THROW(restored = snap.restore());
   const StateImage replayed_image = capture_state(restored->scenario());
   const StateSection* replayed = replayed_image.find(kTagPol);
   ASSERT_NE(replayed, nullptr);
-  EXPECT_EQ(replayed->digest, stored->digest);
+  EXPECT_TRUE(*replayed == *stored);
 
   // The restored twin keeps running: both twins finish byte-identically.
   const experiments::ScenarioResult orig = session.finish();
@@ -128,23 +119,6 @@ TEST(TwinPolTest, SnapshotRestoreRoundTripsPolSection) {
               twin.jobs[i].exact_avg_node_energy_j);
   }
   EXPECT_EQ(orig.total_energy_j, twin.total_energy_j);
-}
-
-// The spec fields behind the policy plane survive their own round-trip
-// (sched_policy name, per-job eco_tolerance, PI config).
-TEST(TwinPolTest, SpecV3FieldsRoundTrip) {
-  TwinSpec spec = make_policy_spec();
-  spec.scenario.manager.pi.degradation_bound = 0.12;
-  spec.scenario.manager.pi.kp = 900.0;
-  ByteWriter w;
-  spec.encode(w);
-  ByteReader r(w.data());
-  const TwinSpec back = TwinSpec::decode(r);
-  EXPECT_EQ(back.scenario.sched_policy, "power-aware");
-  EXPECT_DOUBLE_EQ(back.jobs.at(1).eco_tolerance, 0.2);
-  EXPECT_DOUBLE_EQ(back.scenario.manager.pi.degradation_bound, 0.12);
-  EXPECT_DOUBLE_EQ(back.scenario.manager.pi.kp, 900.0);
-  EXPECT_EQ(back.digest(), spec.digest());
 }
 
 }  // namespace

@@ -1,12 +1,11 @@
-// Snapshot-equivalence test plane (the digital twin's proof obligation):
-// for many seeds, in calm and chaotic weather, snapshot a scenario at a
-// seed-derived mid-run time, push the snapshot through the full wire codec
-// (encode -> decode), restore it into completely fresh process state, run
-// both the original and the restored twin to completion, and require the
-// rendered results to be BYTE-IDENTICAL — every job record, every timeline
-// point, every energy integral, at full double precision. Restore itself
-// verifies every captured state section byte-for-byte before returning, so
-// a passing case certifies both halves of the contract: the probe captures
+// Snapshot-equivalence test plane (the digital twin's proof obligation): for
+// many seeds, in calm and chaotic weather, snapshot a scenario at a
+// seed-derived mid-run time, restore the snapshot into a completely fresh
+// scenario, run both the original and the restored twin to completion, and
+// require the rendered results to be BYTE-IDENTICAL — every job record, every
+// timeline point, every energy integral, at full double precision. Restore
+// itself verifies every captured state section byte-for-byte before returning,
+// so a passing case certifies both halves of the contract: the probe captures
 // everything observable, and replay reaches exactly the captured state.
 #include <gtest/gtest.h>
 
@@ -143,15 +142,12 @@ TEST_P(SnapshotEquiv, RestoredRunIsByteIdentical) {
   // now() == t_snap unless the whole workload finished first (possible under
   // chaos for late t_snap draws); either instant is a valid capture point.
   EXPECT_LE(snap.time(), t_snap);
-  const std::vector<std::uint8_t> wire = snap.encode();
   const ScenarioResult original_result = original.finish();
 
-  // Fresh process state: decode the wire bytes, restore (internally replays
-  // and verifies every section), continue to completion.
-  const Snapshot decoded = Snapshot::decode(wire);
-  EXPECT_EQ(decoded.state_digest(), snap.state_digest());
+  // Fresh scenario: restore (internally replays and verifies every
+  // section), continue to completion.
   std::unique_ptr<TwinSession> restored;
-  ASSERT_NO_THROW(restored = decoded.restore())
+  ASSERT_NO_THROW(restored = snap.restore())
       << "seed " << seed << (chaos ? " chaos" : " calm");
   const ScenarioResult restored_result = restored->finish();
 
@@ -170,16 +166,19 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Capture is read-only and stable: two back-to-back captures of the same
-// live session produce identical wire bytes, and capturing does not perturb
+// live session produce identical images, and capturing does not perturb
 // the session's future (its result still matches a never-probed control).
 TEST(SnapshotEquivInvariants, CaptureIsReadOnlyAndStable) {
   const TwinSpec spec = make_spec(7, /*chaos=*/true);
 
   TwinSession probed(spec);
   probed.advance_to(120.0);
-  const std::vector<std::uint8_t> first = Snapshot::capture(probed).encode();
-  const std::vector<std::uint8_t> second = Snapshot::capture(probed).encode();
-  EXPECT_EQ(first, second);
+  const Snapshot first = Snapshot::capture(probed);
+  const Snapshot second = Snapshot::capture(probed);
+  EXPECT_EQ(first.time(), second.time());
+  EXPECT_TRUE(first.image() == second.image())
+      << twin::describe_divergence(first.image(), second.image(), "first",
+                                   "second");
   const ScenarioResult probed_result = probed.finish();
 
   TwinSession control(spec);
@@ -202,7 +201,10 @@ TEST(SnapshotEquivInvariants, PhasedAdvanceMatchesStraightRun) {
   Snapshot straight_snap = Snapshot::capture(straight);
 
   EXPECT_EQ(phased_snap.state_digest(), straight_snap.state_digest());
-  EXPECT_EQ(phased_snap.encode(), straight_snap.encode());
+  EXPECT_EQ(phased_snap.time(), straight_snap.time());
+  EXPECT_TRUE(phased_snap.image() == straight_snap.image())
+      << twin::describe_divergence(phased_snap.image(), straight_snap.image(),
+                                   "phased", "straight");
   EXPECT_EQ(render(phased.finish()), render(straight.finish()));
 }
 

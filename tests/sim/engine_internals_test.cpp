@@ -5,51 +5,17 @@
 #include "sim/simulation.hpp"
 
 #include <gtest/gtest.h>
-#include <malloc.h>
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <memory>
-#include <new>
 #include <queue>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-// Test-local operator-new counter for the zero-allocation assertions, with
-// the live bytes the allocator reports for each block. Scoped to this
-// translation unit; gtest's own bookkeeping between the two reads is avoided
-// by reading the counters immediately around the measured region.
-namespace {
-std::uint64_t g_news = 0;
-std::int64_t g_live_bytes = 0;
-void* counted(void* p) noexcept {
-  ++g_news;
-  if (p != nullptr) {
-    g_live_bytes += static_cast<std::int64_t>(malloc_usable_size(p));
-  }
-  return p;
-}
-}  // namespace
-void* operator new(std::size_t n) {
-  if (void* p = counted(std::malloc(n))) return p;
-  throw std::bad_alloc{};
-}
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  return counted(std::malloc(n));
-}
-void operator delete(void* p) noexcept {
-  if (p != nullptr) {
-    g_live_bytes -= static_cast<std::int64_t>(malloc_usable_size(p));
-  }
-  std::free(p);
-}
-void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  operator delete(p);
-}
+#include "counting_allocator.hpp"
 
 namespace fluxpower::sim {
 namespace {
@@ -411,9 +377,9 @@ TEST(ZeroAlloc, PeriodicRearmAllocatesNothingInSteadyState) {
   sim.run_until(10.0);
   ASSERT_EQ(ticks, 5);
   const int ticks_before = ticks;
-  const std::uint64_t news_before = g_news;
+  const std::uint64_t news_before = test::heap_allocations();
   sim.run_until(sim.now() + 512.0);
-  const std::uint64_t news_after = g_news;
+  const std::uint64_t news_after = test::heap_allocations();
   EXPECT_EQ(ticks - ticks_before, 256);
   EXPECT_EQ(news_after - news_before, 0u)
       << "steady-state periodic re-arm must not allocate";
@@ -433,11 +399,11 @@ TEST(ZeroAlloc, SynchronizedSweepsHoldAConstantHeap) {
         std::make_unique<PeriodicTask>(sim, 2.0, [] { return true; }));
   }
   sim.run_until(20.0);
-  const std::int64_t bytes_before = g_live_bytes;
-  const std::uint64_t news_before = g_news;
+  const std::int64_t bytes_before = test::heap_live_bytes();
+  const std::uint64_t news_before = test::heap_allocations();
   sim.run_until(200.0);
-  const std::int64_t bytes_after = g_live_bytes;
-  const std::uint64_t news_after = g_news;
+  const std::int64_t bytes_after = test::heap_live_bytes();
+  const std::uint64_t news_after = test::heap_allocations();
   EXPECT_EQ(sim.events_executed(), 4096u * 100);
   EXPECT_EQ(bytes_after - bytes_before, 0) << "live engine heap must not grow";
   EXPECT_EQ(news_after - news_before, 0u);

