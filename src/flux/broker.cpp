@@ -1,7 +1,10 @@
 #include "flux/broker.hpp"
 
+#include <algorithm>
 #include <array>
+#include <mutex>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "flux/instance.hpp"
 #include "obs/trace.hpp"
@@ -15,7 +18,30 @@ namespace {
 constexpr std::array<double, 16> kRpcLatencyBounds = {
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
     0.05,   0.1,     0.25,   0.5,   1.0,    2.5,   5.0,  10.0};
+
+struct TopicHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const noexcept {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+
+/// Interned topics. Set nodes never move, so the pointers stay valid for
+/// the life of the process; the table is leaked for the same reason as the
+/// metrics schema table (brokers may outlive static destruction order).
+struct TopicTable {
+  std::mutex mutex;
+  std::unordered_set<std::string, TopicHash, std::equal_to<>> topics;
+};
 }  // namespace
+
+const std::string* intern_topic(std::string_view topic) {
+  static TopicTable* const table = new TopicTable;
+  std::lock_guard lock(table->mutex);
+  auto it = table->topics.find(topic);
+  if (it == table->topics.end()) it = table->topics.emplace(topic).first;
+  return &*it;
+}
 
 Broker::Broker(Instance& instance, Rank rank, hwsim::Node* node)
     : instance_(instance), rank_(rank), node_(node) {
@@ -48,24 +74,61 @@ Broker::~Broker() {
 
 sim::Simulation& Broker::sim() { return instance_.sim_for(rank_); }
 
-void Broker::register_service(const std::string& topic,
-                              ServiceHandler handler) {
+std::vector<Broker::Service>::iterator Broker::find_service(
+    std::string_view topic) {
+  return std::find_if(services_.begin(), services_.end(),
+                      [topic](const Service& s) { return *s.topic == topic; });
+}
+
+void Broker::register_service(std::string_view topic, ServiceHandler handler) {
   if (!handler) {
     throw std::invalid_argument("Broker::register_service: null handler");
   }
-  if (services_.contains(topic)) {
-    throw std::invalid_argument("Broker::register_service: topic '" + topic +
-                                "' already registered");
+  if (find_service(topic) != services_.end()) {
+    throw std::invalid_argument("Broker::register_service: topic '" +
+                                std::string(topic) + "' already registered");
   }
-  services_[topic] = std::move(handler);
+  // Exact growth: a broker registers a handful of services once, at load,
+  // and doubling would keep empty slots for the rest of the run.
+  services_.reserve(services_.size() + 1);
+  services_.push_back(Service{intern_topic(topic), std::move(handler)});
 }
 
-void Broker::unregister_service(const std::string& topic) {
-  services_.erase(topic);
+void Broker::unregister_service(std::string_view topic) {
+  if (auto it = find_service(topic); it != services_.end()) {
+    services_.erase(it);
+  }
 }
 
-bool Broker::has_service(const std::string& topic) const {
-  return services_.contains(topic);
+bool Broker::has_service(std::string_view topic) const {
+  return std::any_of(services_.begin(), services_.end(),
+                     [topic](const Service& s) { return *s.topic == topic; });
+}
+
+void Broker::dispatch(const Message& request) {
+  auto it = find_service(request.topic);
+  if (it == services_.end()) {
+    respond_error(request, kENosys,
+                  "no service registered for " + request.topic);
+    return;
+  }
+  // The handler runs from a local: one that registers or unregisters
+  // another service may reallocate or shift the table under it. Its entry
+  // (found by interned pointer) gets it back afterwards unless the service
+  // was unregistered, or registered anew, meanwhile.
+  struct Restore {
+    std::vector<Service>& table;
+    const std::string* topic;
+    ServiceHandler handler;
+    ~Restore() {
+      for (Service& s : table) {
+        if (s.topic != topic) continue;
+        if (!s.handler) s.handler = std::move(handler);
+        return;
+      }
+    }
+  } running{services_, it->topic, std::move(it->handler)};
+  running.handler(request);
 }
 
 std::uint64_t Broker::rpc(Rank dest, const std::string& topic,
@@ -83,31 +146,30 @@ std::uint64_t Broker::rpc(Rank dest, const std::string& topic,
     PendingRpc pending;
     pending.handler = std::move(on_response);
     pending.sent_at = sim().now();
-    if (obs::TraceSink& tr = obs::process_trace(); tr.enabled()) {
-      pending.topic = tr.intern(topic);
+    if (timeout_s > 0.0 || obs::process_trace().enabled()) {
+      pending.topic = intern_topic(topic);
     }
     if (timeout_s > 0.0) {
       const std::uint64_t tag = msg.matchtag;
-      const std::string saved_topic = topic;
       pending.timeout_event =
-          sim().schedule_after(timeout_s, [this, tag, dest, saved_topic] {
+          sim().schedule_after(timeout_s, [this, tag, dest] {
             auto it = pending_rpcs_.find(tag);
             if (it == pending_rpcs_.end()) return;  // answered in time
             ResponseHandler handler = std::move(it->second.handler);
-            const char* span_topic = it->second.topic;
+            const std::string& timed_out = *it->second.topic;
             pending_rpcs_.erase(it);
             timed_out_tags_.insert(tag);
             if (timed_out_tags_.size() > kTimedOutTagCap) {
               timed_out_tags_.erase(timed_out_tags_.begin());
             }
             rpc_timeouts_->inc();
-            if (obs::TraceSink& tr = obs::process_trace();
-                tr.enabled() && span_topic != nullptr) {
-              tr.instant(sim().now(), span_topic, "rpc-timeout", rank_);
+            if (obs::TraceSink& tr = obs::process_trace(); tr.enabled()) {
+              tr.instant(sim().now(), timed_out.c_str(), "rpc-timeout",
+                         rank_);
             }
             Message timeout;
             timeout.type = Message::Type::Response;
-            timeout.topic = saved_topic;
+            timeout.topic = timed_out;
             timeout.sender = dest;
             timeout.dest = rank_;
             timeout.matchtag = tag;
@@ -128,44 +190,61 @@ void Broker::send_request(Rank dest, const std::string& topic,
   rpc(dest, topic, std::move(payload), nullptr);
 }
 
-void Broker::respond(const Message& request, util::Json payload) {
+template <typename Fill>
+void Broker::send_response(const std::string& topic, Rank sender,
+                           std::uint64_t matchtag, Fill&& fill) {
   Message msg;
   msg.type = Message::Type::Response;
-  msg.topic = request.topic;
+  msg.topic = topic;
   msg.sender = rank_;
-  msg.dest = request.sender;
-  msg.matchtag = request.matchtag;
-  msg.payload = std::move(payload);
+  msg.dest = sender;
+  msg.matchtag = matchtag;
+  fill(msg);
   sent_->inc();
   instance_.route(std::move(msg));
+}
+
+void Broker::respond(const Message& request, util::Json payload) {
+  send_response(request.topic, request.sender, request.matchtag,
+                [&](Message& m) { m.payload = std::move(payload); });
+}
+
+void Broker::respond(const ReplyTo& to, util::Json payload) {
+  send_response(*to.topic, to.sender, to.matchtag,
+                [&](Message& m) { m.payload = std::move(payload); });
 }
 
 void Broker::respond_telemetry(const Message& request, util::Json meta,
                                std::shared_ptr<const TelemetryBatch> batch) {
-  Message msg;
-  msg.type = Message::Type::Response;
-  msg.topic = request.topic;
-  msg.sender = rank_;
-  msg.dest = request.sender;
-  msg.matchtag = request.matchtag;
-  msg.payload = std::move(meta);
-  msg.telemetry = std::move(batch);
-  sent_->inc();
-  instance_.route(std::move(msg));
+  send_response(request.topic, request.sender, request.matchtag,
+                [&](Message& m) {
+                  m.payload = std::move(meta);
+                  m.telemetry = std::move(batch);
+                });
+}
+
+void Broker::respond_telemetry(const ReplyTo& to, util::Json meta,
+                               std::shared_ptr<const TelemetryBatch> batch) {
+  send_response(*to.topic, to.sender, to.matchtag, [&](Message& m) {
+    m.payload = std::move(meta);
+    m.telemetry = std::move(batch);
+  });
 }
 
 void Broker::respond_error(const Message& request, int errnum,
                            std::string text) {
-  Message msg;
-  msg.type = Message::Type::Response;
-  msg.topic = request.topic;
-  msg.sender = rank_;
-  msg.dest = request.sender;
-  msg.matchtag = request.matchtag;
-  msg.errnum = errnum;
-  msg.error_text = std::move(text);
-  sent_->inc();
-  instance_.route(std::move(msg));
+  send_response(request.topic, request.sender, request.matchtag,
+                [&](Message& m) {
+                  m.errnum = errnum;
+                  m.error_text = std::move(text);
+                });
+}
+
+void Broker::respond_error(const ReplyTo& to, int errnum, std::string text) {
+  send_response(*to.topic, to.sender, to.matchtag, [&](Message& m) {
+    m.errnum = errnum;
+    m.error_text = std::move(text);
+  });
 }
 
 void Broker::publish_event(const std::string& topic, util::Json payload) {
@@ -224,15 +303,9 @@ Module* Broker::find_module(const std::string& name) {
 void Broker::deliver(const Message& msg) {
   received_->inc();
   switch (msg.type) {
-    case Message::Type::Request: {
-      auto it = services_.find(msg.topic);
-      if (it == services_.end()) {
-        respond_error(msg, kENosys, "no service registered for " + msg.topic);
-        return;
-      }
-      it->second(msg);
+    case Message::Type::Request:
+      dispatch(msg);
       return;
-    }
     case Message::Type::Response: {
       auto it = pending_rpcs_.find(msg.matchtag);
       if (it == pending_rpcs_.end()) {
@@ -265,7 +338,8 @@ void Broker::deliver(const Message& msg) {
       rpc_latency_->observe(latency);
       if (obs::TraceSink& tr = obs::process_trace();
           tr.enabled() && pending.topic != nullptr) {
-        tr.complete(pending.sent_at, latency, pending.topic, "rpc", rank_);
+        tr.complete(pending.sent_at, latency, pending.topic->c_str(), "rpc",
+                    rank_);
       }
       pending.handler(msg);
       return;

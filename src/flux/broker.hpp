@@ -2,7 +2,8 @@
 //
 // One broker runs on each node of an instance; brokers form the TBON and
 // exchange messages with per-hop latency. A broker offers:
-//   * a service registry: topic string -> request handler;
+//   * a service table: topic -> request handler, one contiguous array per
+//     broker whose topics point into a process-wide interned table;
 //   * RPC with matchtag correlation and response callbacks;
 //   * event pub/sub broadcast across the instance;
 //   * module load/unload.
@@ -16,6 +17,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "flux/message.hpp"
@@ -38,6 +40,24 @@ using ResponseHandler = std::function<void(const Message&)>;
 /// Receives a broadcast event.
 using EventHandler = std::function<void(const Message&)>;
 
+/// The process-wide interned copy of `topic`: one immutable string per
+/// distinct topic, never freed, so brokers keep a pointer instead of a copy.
+/// Thread-safe (island threads and twin forks build stacks concurrently).
+const std::string* intern_topic(std::string_view topic);
+
+/// What a response needs of its request: the topic it echoes, the rank it
+/// goes to and the matchtag that correlates it. A handler that answers
+/// later keeps this instead of copying the request and its payload.
+struct ReplyTo {
+  const std::string* topic = nullptr;  ///< interned
+  Rank sender = -1;
+  std::uint64_t matchtag = 0;
+
+  static ReplyTo of(const Message& request) {
+    return {intern_topic(request.topic), request.sender, request.matchtag};
+  }
+};
+
 class Broker {
  public:
   Broker(Instance& instance, Rank rank, hwsim::Node* node);
@@ -56,9 +76,12 @@ class Broker {
 
   // -- Services -------------------------------------------------------------
 
-  void register_service(const std::string& topic, ServiceHandler handler);
-  void unregister_service(const std::string& topic);
-  bool has_service(const std::string& topic) const;
+  /// Throws std::invalid_argument for a null handler or a topic already
+  /// registered here. A handler may register or unregister other services
+  /// of this broker while it runs.
+  void register_service(std::string_view topic, ServiceHandler handler);
+  void unregister_service(std::string_view topic);
+  bool has_service(std::string_view topic) const;
 
   // -- RPC ------------------------------------------------------------------
 
@@ -84,12 +107,16 @@ class Broker {
   void send_request(Rank dest, const std::string& topic, util::Json payload);
 
   void respond(const Message& request, util::Json payload);
+  void respond(const ReplyTo& to, util::Json payload);
   /// Respond with a typed telemetry batch plus JSON meta keys. The batch
   /// travels by pointer through the TBON; the codec renders it to the
   /// historical JSON shape if the message ever hits the wire boundary.
   void respond_telemetry(const Message& request, util::Json meta,
                          std::shared_ptr<const TelemetryBatch> batch);
+  void respond_telemetry(const ReplyTo& to, util::Json meta,
+                         std::shared_ptr<const TelemetryBatch> batch);
   void respond_error(const Message& request, int errnum, std::string text);
+  void respond_error(const ReplyTo& to, int errnum, std::string text);
 
   // -- Events ---------------------------------------------------------------
 
@@ -141,19 +168,33 @@ class Broker {
  private:
   friend class Instance;
 
+  struct Service {
+    const std::string* topic;  ///< interned
+    ServiceHandler handler;    ///< empty while its own dispatch runs
+  };
+
+  std::vector<Service>::iterator find_service(std::string_view topic);
+  void dispatch(const Message& request);
+  /// Route a response to `sender` echoing `topic` and `matchtag`; `fill`
+  /// sets its payload or error.
+  template <typename Fill>
+  void send_response(const std::string& topic, Rank sender,
+                     std::uint64_t matchtag, Fill&& fill);
+
   Instance& instance_;
   Rank rank_;
   hwsim::Node* node_;
   /// Declared before the Counter*/Histogram* members below: they point into
   /// this registry and are bound in the constructor.
   obs::MetricsRegistry metrics_;
-  std::map<std::string, ServiceHandler> services_;
+  std::vector<Service> services_;
   struct PendingRpc {
     ResponseHandler handler;
     sim::EventId timeout_event = sim::kInvalidEvent;
     double sent_at = 0.0;
-    /// Interned topic for the trace span; set only while tracing is on.
-    const char* topic = nullptr;
+    /// Interned topic, set when a timeout is armed or tracing is on: the
+    /// synthesized ETIMEDOUT response and the trace span read it.
+    const std::string* topic = nullptr;
   };
   std::map<std::uint64_t, PendingRpc> pending_rpcs_;
   /// Matchtags whose timeout fired before the real response arrived.

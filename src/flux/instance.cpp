@@ -1,5 +1,7 @@
 #include "flux/instance.hpp"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 namespace fluxpower::flux {
@@ -68,6 +70,17 @@ bool Instance::pump_one() {
   return engine_ != nullptr ? engine_->pump_one() : sim_->step();
 }
 
+template <typename F>
+void Instance::schedule_on(int src_isl, int dest_isl, sim::Time fire, F&& fn) {
+  if (!sharded()) {
+    sim_->schedule_at(fire, std::forward<F>(fn));
+  } else if (dest_isl == src_isl) {
+    engine_->island(src_isl).schedule_at(fire, std::forward<F>(fn));
+  } else {
+    engine_->post(src_isl, dest_isl, fire, std::forward<F>(fn));
+  }
+}
+
 void Instance::deliver_leg(Broker* dest, double delay,
                            const std::shared_ptr<const Message>& shared,
                            int src_isl) {
@@ -80,20 +93,101 @@ void Instance::deliver_leg(Broker* dest, double delay,
   // too, keeping the semantics identical for every shard count.
   const int dest_isl = island_of(dest->rank());
   Instance* self = this;
-  auto deliver = [self, dest, shared, dest_isl] {
-    RouteFaultInjector* inj = self->fault_injector_;
-    if (inj != nullptr && inj->delivery_blocked(dest->rank())) {
-      ++self->tallies_[static_cast<std::size_t>(dest_isl)].dropped;
-      return;
+  schedule_on(src_isl, dest_isl, engine_->island(src_isl).now() + delay,
+              [self, dest, shared, dest_isl] {
+                RouteFaultInjector* inj = self->fault_injector_;
+                if (inj != nullptr && inj->delivery_blocked(dest->rank())) {
+                  ++self->tallies_[static_cast<std::size_t>(dest_isl)].dropped;
+                  return;
+                }
+                dest->deliver(*shared);
+              });
+}
+
+void Instance::deliver_batch(const Message& msg, std::span<const Rank> ranks) {
+  RouteFaultInjector* inj = sharded() ? fault_injector_ : nullptr;
+  for (Rank r : ranks) {
+    if (inj != nullptr && inj->delivery_blocked(r)) {
+      ++tallies_[static_cast<std::size_t>(island_of(r))].dropped;
+      continue;
     }
-    dest->deliver(*shared);
-  };
-  sim::Simulation& src_sim = engine_->island(src_isl);
-  if (dest_isl == src_isl) {
-    src_sim.schedule_after(delay, std::move(deliver));
-  } else {
-    engine_->post(src_isl, dest_isl, src_sim.now() + delay,
-                  std::move(deliver));
+    brokers_[static_cast<std::size_t>(r)]->deliver(msg);
+  }
+}
+
+void Instance::broadcast(const std::shared_ptr<const Message>& shared,
+                         int src_isl) {
+  // Events are broadcast over the tree from the publisher. Delivery
+  // latency to a given broker is proportional to its hop distance. Each
+  // broker leg is a distinct set of physical links, so the fault injector
+  // rules on every leg independently, in rank order.
+  const Message& m = *shared;
+  RouteTally& tally = tallies_[static_cast<std::size_t>(src_isl)];
+  std::vector<Leg>& legs = tally.legs;
+  legs.clear();
+  const sim::Time now =
+      sharded() ? engine_->island(src_isl).now() : sim_->now();
+  for (auto& b : brokers_) {
+    const Rank r = b->rank();
+    double delay = config_.hop_latency_s * tbon_.hops(m.sender, r);
+    int copies = 1;
+    if (fault_injector_ != nullptr) {
+      const auto v = fault_injector_->on_route(m, r);
+      if (v.drop) {
+        ++tally.dropped;
+        continue;
+      }
+      delay += v.extra_delay_s;
+      copies += v.duplicates;
+    }
+    const Leg leg{now + delay, sharded() ? tbon_.root_child(r) : 0, r};
+    legs.insert(legs.end(), static_cast<std::size_t>(copies), leg);
+  }
+
+  // The legs one route call schedules for one instant run back to back in
+  // the engine's (time, seq) order, and in the barrier drain's for one
+  // placement cell, so each run becomes one event that delivers them in
+  // rank order (a duplicate beside its original). Ties are equal legs.
+  std::sort(legs.begin(), legs.end(), [](const Leg& a, const Leg& b) {
+    if (a.fire != b.fire) return a.fire < b.fire;
+    if (a.cell != b.cell) return a.cell < b.cell;
+    return a.rank < b.rank;
+  });
+
+  // A run of up to kInlineLegs ranks travels inside its event slot; longer
+  // runs slice one rank block that the whole broadcast shares, sized at the
+  // first long run for every leg from there on.
+  constexpr std::size_t kInlineLegs = 7;
+  std::shared_ptr<Rank[]> block;
+  std::uint32_t used = 0;
+  Instance* self = this;
+  for (std::size_t i = 0, j = 0; i < legs.size(); i = j) {
+    j = i + 1;
+    while (j < legs.size() && legs[j].fire == legs[i].fire &&
+           legs[j].cell == legs[i].cell) {
+      ++j;
+    }
+    const auto n = static_cast<std::uint32_t>(j - i);
+    const int dest_isl = island_of(legs[i].rank);
+    if (n <= kInlineLegs) {
+      std::array<Rank, kInlineLegs> ranks{};
+      for (std::uint32_t k = 0; k < n; ++k) ranks[k] = legs[i + k].rank;
+      auto run = [self, shared, ranks, n] {
+        self->deliver_batch(*shared, {ranks.data(), n});
+      };
+      static_assert(sizeof(run) <= sim::detail::SlotCallback::kInlineBytes);
+      schedule_on(src_isl, dest_isl, legs[i].fire, std::move(run));
+    } else {
+      if (!block) block = std::make_shared<Rank[]>(legs.size() - i);
+      for (std::uint32_t k = 0; k < n; ++k) block[used + k] = legs[i + k].rank;
+      auto run = [self, shared, ranks = std::shared_ptr<const Rank[]>(block),
+                  first = used, n] {
+        self->deliver_batch(*shared, {ranks.get() + first, n});
+      };
+      static_assert(sizeof(run) <= sim::detail::SlotCallback::kInlineBytes);
+      schedule_on(src_isl, dest_isl, legs[i].fire, std::move(run));
+      used += n;
+    }
   }
 }
 
@@ -108,36 +202,13 @@ void Instance::route(Message msg) {
       journal_->record(sim_->now(), msg);
     }
   }
-  const bool is_event = msg.type == Message::Type::Event;
-  // One shared immutable copy per route call: delivery callbacks capture
-  // {broker, pointer} — 16 bytes, inside the event pool's inline storage —
-  // instead of a per-destination Message copy behind a heap-allocated
-  // std::function. Broadcasts to N brokers share a single copy.
+  // One shared immutable copy per route call: delivery callbacks capture a
+  // pointer to it instead of a per-destination Message copy, so they fit
+  // the event pool's inline storage. Broadcasts share a single copy.
   const auto shared = std::make_shared<const Message>(std::move(msg));
   const Message& m = *shared;
-  if (is_event) {
-    // Events are broadcast over the tree from the publisher. Delivery
-    // latency to a given broker is proportional to its hop distance. Each
-    // broker leg is a distinct set of physical links, so the fault
-    // injector rules on every leg independently.
-    for (auto& b : brokers_) {
-      const int hops = tbon_.hops(m.sender, b->rank());
-      double delay = config_.hop_latency_s * hops;
-      int copies = 1;
-      if (fault_injector_ != nullptr) {
-        const auto v = fault_injector_->on_route(m, b->rank());
-        if (v.drop) {
-          ++tallies_[static_cast<std::size_t>(src_isl)].dropped;
-          continue;
-        }
-        delay += v.extra_delay_s;
-        copies += v.duplicates;
-      }
-      Broker* dest = b.get();
-      for (int c = 0; c < copies; ++c) {
-        deliver_leg(dest, delay, shared, src_isl);
-      }
-    }
+  if (m.type == Message::Type::Event) {
+    broadcast(shared, src_isl);
     return;
   }
   if (m.dest < 0 || m.dest >= size()) {

@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "flux/broker.hpp"
@@ -105,7 +106,10 @@ class Instance {
   Kvs& kvs() noexcept { return *kvs_; }
 
   /// Route a message to msg.dest (or broadcast an event to subscribers)
-  /// with TBON hop latency. Called by brokers, not user code.
+  /// with TBON hop latency. Called by brokers, not user code. A broadcast
+  /// schedules one engine event per instant its legs arrive at (per
+  /// placement cell in the sharded profile), which delivers them in rank
+  /// order.
   void route(Message msg);
 
   /// Total messages routed (traffic accounting for overhead analysis).
@@ -154,16 +158,36 @@ class Instance {
   }
 
  private:
-  /// Per-island routed/dropped counters, cache-line padded: each cell is
-  /// written only by its island's worker thread.
+  /// One surviving broadcast leg: broker `rank` receives the event at
+  /// `fire`. `cell` is 0 in the monolithic profile and the rank's placement
+  /// cell (Tbon::root_child) in the sharded one; a fault duplicate is a
+  /// second, equal leg.
+  struct Leg {
+    sim::Time fire;
+    Rank cell;
+    Rank rank;
+  };
+
+  /// Per-island routed/dropped counters and broadcast scratch, cache-line
+  /// padded: each cell is written only by its island's worker thread.
   struct alignas(64) RouteTally {
     std::uint64_t routed = 0;
     std::uint64_t dropped = 0;
+    std::vector<Leg> legs;  ///< reused by every broadcast the island sends
   };
 
   void bootstrap();
+  void broadcast(const std::shared_ptr<const Message>& shared, int src_isl);
   void deliver_leg(Broker* dest, double delay,
                    const std::shared_ptr<const Message>& shared, int src_isl);
+  /// Deliver one broadcast instant's legs in order; the sharded profile
+  /// rules delivery_blocked per leg.
+  void deliver_batch(const Message& msg, std::span<const Rank> ranks);
+  /// Schedule `fn` at `fire` on `dest_isl`: directly when it is the sending
+  /// island (or the profile is monolithic), else through the engine's
+  /// cross-island mailbox.
+  template <typename F>
+  void schedule_on(int src_isl, int dest_isl, sim::Time fire, F&& fn);
 
   sim::Simulation* sim_;  ///< island 0 in sharded mode
   sim::ShardedEngine* engine_ = nullptr;

@@ -92,6 +92,14 @@ Rank Tbon::next_hop(Rank from, Rank to) const {
   return parent(from);
 }
 
+Rank Tbon::root_child(Rank rank) const {
+  check(rank);
+  while (levels_[static_cast<std::size_t>(rank)] > 1) {
+    rank = parents_[static_cast<std::size_t>(rank)];
+  }
+  return rank;
+}
+
 std::vector<Rank> Tbon::subtree(Rank rank) const {
   check(rank);
   std::vector<Rank> out;

@@ -43,6 +43,11 @@ class Tbon {
   /// All ranks in the subtree rooted at `rank` (including itself).
   std::vector<Rank> subtree(Rank rank) const;
 
+  /// The depth-1 ancestor of `rank` (itself at depth 1; the root for the
+  /// root): the root child whose subtree holds it, i.e. its placement cell
+  /// in the sharded profile.
+  Rank root_child(Rank rank) const;
+
  private:
   void check(Rank rank) const;
   int size_;

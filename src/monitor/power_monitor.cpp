@@ -348,13 +348,15 @@ void PowerMonitorModule::handle_get_subtree(const Message& req) {
     return std::binary_search(wanted.begin(), wanted.end(), r);
   };
 
+  // The merge keeps where the answer goes, not the request (whose payload
+  // holds the whole rank list).
   struct Pending {
     TelemetryBatch batch;
     std::size_t outstanding = 0;
-    Message original;
+    flux::ReplyTo reply;
   };
   auto pending = std::make_shared<Pending>();
-  pending->original = req;
+  pending->reply = flux::ReplyTo::of(req);
   if (wants(broker_->rank())) {
     pending->batch.nodes.push_back(local_entry(req.payload));
   }
@@ -407,7 +409,7 @@ void PowerMonitorModule::handle_get_subtree(const Message& req) {
     meta["requested"] = static_cast<std::int64_t>(requested);
     meta["responding"] = static_cast<std::int64_t>(responding);
     broker->respond_telemetry(
-        p.original, std::move(meta),
+        p.reply, std::move(meta),
         std::make_shared<TelemetryBatch>(std::move(p.batch)));
   };
 
@@ -469,10 +471,10 @@ void PowerMonitorModule::handle_metrics(const Message& req) {
     obs::MetricsRegistry aggregate;
     std::int64_t nodes = 1;
     std::size_t outstanding = 0;
-    Message original;
+    flux::ReplyTo reply;
   };
   auto pending = std::make_shared<Pending>();
-  pending->original = req;
+  pending->reply = flux::ReplyTo::of(req);
   pending->aggregate.merge_json(broker_->metrics().to_json());
 
   flux::Broker* broker = broker_;
@@ -480,7 +482,7 @@ void PowerMonitorModule::handle_metrics(const Message& req) {
     Json payload = Json::object();
     payload["nodes"] = p.nodes;
     payload["metrics"] = p.aggregate.to_json();
-    broker->respond(p.original, std::move(payload));
+    broker->respond(p.reply, std::move(payload));
   };
 
   if (children.empty()) {
@@ -622,25 +624,25 @@ void PowerMonitorModule::handle_query_job(const Message& req) {
   // even root-local lookups. The gather and the answer are typed batches.
   flux::Broker* broker = broker_;
   const bool tree_aggregation = config_.tree_aggregation;
-  const Message original = req;
+  const flux::ReplyTo reply = flux::ReplyTo::of(req);
   broker->rpc(
       flux::kRootRank, "job-info.lookup", req.payload,
-      [broker, original, tree_aggregation](const Message& info) {
+      [broker, reply, tree_aggregation](const Message& info) {
         if (info.is_error()) {
-          broker->respond_error(original, info.errnum, info.error_text);
+          broker->respond_error(reply, info.errnum, info.error_text);
           return;
         }
         const double t_start = info.payload.number_or("t_start", -1.0);
         double t_end = info.payload.number_or("t_end", -1.0);
         if (t_end < 0.0) t_end = broker->sim().now();  // job still running
         if (t_start < 0.0) {
-          broker->respond_error(original, flux::kEInval,
+          broker->respond_error(reply, flux::kEInval,
                                 "job has not started; no telemetry window");
           return;
         }
         const auto& ranks = info.payload.at("ranks").as_array();
         if (ranks.empty()) {
-          broker->respond_error(original, flux::kEInval,
+          broker->respond_error(reply, flux::kEInval,
                                 "job has no allocated ranks");
           return;
         }
@@ -660,14 +662,14 @@ void PowerMonitorModule::handle_query_job(const Message& req) {
           window["ranks"] = ranks;
           broker->rpc(
               flux::kRootRank, kGetSubtreeTopic, std::move(window),
-              [broker, original, meta = std::move(meta)](const Message& resp) {
+              [broker, reply, meta = std::move(meta)](const Message& resp) {
                 if (resp.is_error()) {
-                  broker->respond_error(original, resp.errnum,
+                  broker->respond_error(reply, resp.errnum,
                                         resp.error_text);
                   return;
                 }
                 // Re-share the merged batch: zero copies at the root.
-                broker->respond_telemetry(original, meta, resp.telemetry);
+                broker->respond_telemetry(reply, meta, resp.telemetry);
               },
               /*timeout_s=*/15.0);
           return;
@@ -687,7 +689,7 @@ void PowerMonitorModule::handle_query_job(const Message& req) {
           const auto rank = static_cast<flux::Rank>(r.as_int());
           broker->rpc(
               rank, kGetDataTopic, window,
-              [broker, original, pending, rank](const Message& resp) {
+              [broker, reply, pending, rank](const Message& resp) {
                 if (resp.is_error()) {
                   // Fault-tolerant aggregation: a dead or unloaded
                   // node-agent yields an empty *partial* per-node entry
@@ -700,7 +702,7 @@ void PowerMonitorModule::handle_query_job(const Message& req) {
                 }
                 if (--pending->outstanding == 0) {
                   broker->respond_telemetry(
-                      original, std::move(pending->meta),
+                      reply, std::move(pending->meta),
                       std::make_shared<TelemetryBatch>(std::move(pending->batch)));
                 }
               },

@@ -6,6 +6,7 @@ Snapshot Snapshot::capture(TwinSession& session) {
   Snapshot snap;
   snap.spec_ = session.spec();
   snap.t_snapshot_ = session.now();
+  snap.advanced_ = session.advanced();
   snap.image_ = capture_state(session.scenario());
   return snap;
 }
@@ -17,7 +18,7 @@ std::unique_ptr<TwinSession> Snapshot::restore() const {
 std::unique_ptr<TwinSession> Snapshot::restore_with_spec(
     const TwinSpec& spec_override) const {
   auto session = std::make_unique<TwinSession>(spec_override);
-  session->advance_to(t_snapshot_);
+  if (advanced_) session->advance_to(t_snapshot_);
   const StateImage replayed = capture_state(session->scenario());
   for (const StateSection& stored : image_.sections) {
     const StateSection* live = replayed.find(stored.tag);

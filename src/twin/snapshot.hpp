@@ -49,9 +49,10 @@ class Snapshot {
   /// Fingerprint over section digests — cheap state identity.
   std::uint64_t state_digest() const noexcept { return image_.digest(); }
 
-  /// Rebuild a live session at time(): materialize the spec, fast-forward,
-  /// and verify every captured section byte-for-byte. Throws
-  /// SnapshotMismatch on any divergence.
+  /// Rebuild a live session at time(): materialize the spec, fast-forward
+  /// (unless the captured session was never advanced), and verify every
+  /// captured section byte-for-byte. Throws SnapshotMismatch on any
+  /// divergence.
   std::unique_ptr<TwinSession> restore() const;
 
   /// Restore under a *modified* spec (the fork engine's NodeKill support
@@ -69,6 +70,7 @@ class Snapshot {
 
   TwinSpec spec_;
   double t_snapshot_ = 0.0;
+  bool advanced_ = false;  ///< false: restore replays nothing
   StateImage image_;
 };
 

@@ -1,6 +1,10 @@
 // Tests for flux brokers: services, RPC, events, modules.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "flux/instance.hpp"
 #include "hwsim/cluster.hpp"
 
@@ -240,6 +244,122 @@ TEST_F(BrokerTest, ChildInstanceHasIndependentServices) {
                         [&](const Message& resp) { errnum = resp.errnum; });
   sim_.run();
   EXPECT_EQ(errnum, kENosys);
+}
+
+// The service table: one contiguous array per broker. A handler runs from a
+// local copy of its slot, so one that registers enough services to
+// reallocate the table, or unregisters others and shifts it, never runs
+// from freed storage. The edit handler's two reference captures fit inside
+// std::function itself, i.e. inside the table's storage, so ASan reports
+// the captures it reads after its edits if it ran from its slot.
+class BrokerServices : public BrokerTest {};
+
+TEST_F(BrokerServices, HandlerEditsItsBrokersTableDuringDispatch) {
+  Broker& b = instance_->broker(1);
+  b.register_service("before", [](const Message&) {});
+  int calls = 0;
+  b.register_service("edit", [&b, &calls](const Message& req) {
+    for (int i = 0; i < 40; ++i) {
+      const std::string topic = "extra." + std::to_string(i);
+      if (!b.has_service(topic)) {
+        b.register_service(topic, [](const Message&) {});
+      }
+    }
+    b.unregister_service("before");
+    for (int i = 0; i < 40; i += 2) {
+      b.unregister_service("extra." + std::to_string(i));
+    }
+    ++calls;
+    util::Json reply = util::Json::object();
+    reply["edits"] = calls;
+    b.respond(req, std::move(reply));
+  });
+  std::int64_t got = 0;
+  instance_->root().rpc(1, "edit", util::Json::object(),
+                        [&](const Message& resp) {
+                          got = resp.payload.int_or("edits", -1);
+                        });
+  sim_.run();
+  EXPECT_EQ(got, 1);
+  EXPECT_TRUE(b.has_service("edit"));
+  EXPECT_FALSE(b.has_service("before"));
+  EXPECT_FALSE(b.has_service("extra.0"));
+  EXPECT_TRUE(b.has_service("extra.1"));
+  // The handler went back to its slot: a second request finds it.
+  instance_->root().rpc(1, "edit", util::Json::object(),
+                        [&](const Message& resp) {
+                          got = resp.payload.int_or("edits", -1);
+                        });
+  sim_.run();
+  EXPECT_EQ(got, 2);
+}
+
+TEST_F(BrokerServices, HandlerThatUnregistersItselfIsDropped) {
+  Broker& b = instance_->broker(2);
+  b.register_service("once", [&b](const Message& req) {
+    b.unregister_service("once");
+    b.respond(req, util::Json::object());
+  });
+  std::vector<int> errnums;
+  for (int i = 0; i < 2; ++i) {
+    instance_->root().rpc(2, "once", util::Json::object(),
+                          [&](const Message& resp) {
+                            errnums.push_back(resp.errnum);
+                          });
+    sim_.run();
+  }
+  EXPECT_EQ(errnums, (std::vector<int>{0, kENosys}));
+  EXPECT_FALSE(b.has_service("once"));
+}
+
+TEST_F(BrokerServices, DuplicateRegistrationStillThrows) {
+  Broker& b = instance_->broker(3);
+  const std::string topic = "power-monitor.a-long-topic-name";
+  b.register_service(std::string_view(topic).substr(0, 20),
+                     [](const Message&) {});
+  EXPECT_THROW(b.register_service(topic.substr(0, 20), [](const Message&) {}),
+               std::invalid_argument);
+  EXPECT_THROW(b.register_service("null", ServiceHandler()),
+               std::invalid_argument);
+  // A running handler still owns its topic.
+  bool threw = false;
+  b.register_service("self", [&b, &threw](const Message&) {
+    try {
+      b.register_service("self", [](const Message&) {});
+    } catch (const std::invalid_argument&) {
+      threw = true;
+    }
+  });
+  b.deliver([] {
+    Message m;
+    m.topic = "self";
+    m.sender = 3;
+    m.dest = 3;
+    return m;
+  }());
+  EXPECT_TRUE(threw);
+  // The same topic on another broker is a separate service.
+  EXPECT_NO_THROW(instance_->broker(2).register_service(
+      topic.substr(0, 20), [](const Message&) {}));
+}
+
+TEST_F(BrokerServices, UnknownTopicStillAnswersEnosys) {
+  Broker& b = instance_->broker(1);
+  b.register_service("gone", [](const Message&) {});
+  b.unregister_service("gone");
+  b.unregister_service("never-registered");  // a no-op
+  std::vector<int> errnums;
+  std::string text;
+  for (const char* topic : {"gone", "gon", "gone.", ""}) {
+    instance_->root().rpc(1, topic, util::Json::object(),
+                          [&](const Message& resp) {
+                            errnums.push_back(resp.errnum);
+                            text = resp.error_text;
+                          });
+  }
+  sim_.run();
+  EXPECT_EQ(errnums, (std::vector<int>(4, kENosys)));
+  EXPECT_EQ(text, "no service registered for ");
 }
 
 }  // namespace

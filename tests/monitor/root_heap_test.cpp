@@ -88,9 +88,12 @@ TEST_F(RootHeap, RepeatedJobQueriesLeaveHeapFlat) {
 
 // One window query over every full ring ships 64 x 16 samples. Each is
 // copied once, out of its ring, and TBON hops and the client share it by
-// pointer, so the rest of the query (requests, rank lists, entry and batch
-// headers) stays under one more multiple of the samples' bytes. A copy per
-// TBON level would not.
+// pointer. Each merging hop keeps only a reply address, not a copy of its
+// request and rank list, and RPC timeouts read their topic from the
+// interned table, so the rest of the query (requests, rank lists, entry and
+// batch headers) stays under three quarters of the samples' bytes: 376,712
+// B allocated in all for 221,184 B of samples, where copying each request
+// took 419,258 B. A copy per TBON level would not fit either.
 TEST_F(RootHeap, WindowQueryCopiesEachSampleOnce) {
   MonitorClient client(*instance_);
   std::vector<flux::Rank> ranks(kNodes);
@@ -104,7 +107,7 @@ TEST_F(RootHeap, WindowQueryCopiesEachSampleOnce) {
   for (const NodePowerData& n : data->nodes) samples += n.samples.size();
   ASSERT_EQ(samples, static_cast<std::size_t>(kNodes) * 16);
   const std::uint64_t sample_bytes = samples * sizeof(hwsim::PowerSample);
-  EXPECT_LE(allocated, 2 * sample_bytes)
+  EXPECT_LE(allocated, sample_bytes + 3 * sample_bytes / 4)
       << allocated << " B allocated for " << sample_bytes << " B of samples";
   RecordProperty("query_bytes", static_cast<int>(allocated));
 }

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -185,6 +186,25 @@ TEST(SnapshotEquivInvariants, CaptureIsReadOnlyAndStable) {
   control.advance_to(120.0);
   const ScenarioResult control_result = control.finish();
   EXPECT_EQ(render(probed_result), render(control_result));
+}
+
+// A session captured before any advance_to sits at t = 0 with its t = 0
+// events pending; advance_to(0) would run them, so restore replays nothing
+// and the image still verifies. The clock never runs backwards.
+TEST(SnapshotEquivInvariants, CaptureBeforeAnyAdvanceRestores) {
+  const TwinSpec spec = make_spec(3, /*chaos=*/true);
+  TwinSession fresh(spec);
+  const Snapshot snap = Snapshot::capture(fresh);
+  EXPECT_EQ(snap.time(), 0.0);
+  std::unique_ptr<TwinSession> restored;
+  ASSERT_NO_THROW(restored = snap.restore());
+  EXPECT_EQ(render(restored->finish()), render(fresh.finish()));
+
+  TwinSession advanced(spec);
+  advanced.advance_to(30.0);
+  EXPECT_THROW(advanced.advance_to(29.0), std::invalid_argument);
+  EXPECT_THROW(advanced.advance_to(std::nan("")), std::invalid_argument);
+  EXPECT_NO_THROW(advanced.advance_to(30.0));
 }
 
 // Phased execution is invisible: advancing in many small horizons reaches

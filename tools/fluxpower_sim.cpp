@@ -119,6 +119,13 @@ int main(int argc, char** argv) {
     else usage(argv[0], "unknown option " + arg);
   }
   if (jobs.empty()) usage(argv[0], "at least one --job required");
+  for (const JobRequest& job : jobs) {
+    if (job.nnodes > cfg.nodes) {
+      usage(argv[0], "a job needs " + std::to_string(job.nnodes) +
+                         " nodes but the cluster has " +
+                         std::to_string(cfg.nodes));
+    }
+  }
 
   cfg.manager.cluster_power_bound_w = bound;
   cfg.manager.static_node_cap_w = node_cap;

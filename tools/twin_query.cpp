@@ -79,6 +79,9 @@ experiments::JobRequest parse_job(const std::string& spec, const char* argv0) {
   if (!(req.work_scale > 0.0) || !std::isfinite(req.work_scale)) {
     usage(argv0, "work_scale must be positive and finite in " + spec);
   }
+  if (!(req.submit_time_s >= 0.0) || !std::isfinite(req.submit_time_s)) {
+    usage(argv0, "submit time must be non-negative and finite in " + spec);
+  }
   return req;
 }
 
@@ -171,6 +174,9 @@ int main(int argc, char** argv) {
   // Inputs the scenario cannot run are usage errors, not aborts mid-run.
   const int nodes = spec.scenario.nodes;
   if (nodes <= 0) usage(argv[0], "--nodes must be positive");
+  if (!(snapshot_at >= 0.0) || !std::isfinite(snapshot_at)) {
+    usage(argv[0], "--snapshot-at must be non-negative and finite");
+  }
   for (const experiments::JobRequest& job : spec.jobs) {
     if (job.nnodes > nodes) {
       usage(argv[0], "a job needs " + std::to_string(job.nnodes) +
