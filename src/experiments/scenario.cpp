@@ -335,9 +335,16 @@ void Scenario::record_cell_tick(std::size_t cell) {
       engine_->island(island_of_rank_[static_cast<std::size_t>(ranks.front())])
           .now();
   // Fold in subtree order: the fold depends only on the cell layout, so
-  // the rounding is identical for every shard count.
+  // the rounding is identical for every shard count. A site-scale cell is
+  // thousands of nodes, each a cache miss: fetch the grants a few ahead.
+  constexpr std::size_t kAhead = 4;
   double draw = 0.0;
-  for (flux::Rank r : ranks) draw += cluster_.node(r).node_draw_w();
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    if (i + kAhead < ranks.size()) {
+      cluster_.node(ranks[i + kAhead]).prefetch_grants();
+    }
+    draw += cluster_.node(ranks[i]).node_draw_w();
+  }
   cs.draw.emplace_back(t, draw);
   for (const auto& [id, first] : cs.running) {
     hwsim::Node* node = instance_->node(first);

@@ -2,9 +2,31 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <stdexcept>
+#include <utility>
+
+#include "util/prefetch.hpp"
 
 namespace fluxpower::flux {
+
+/// Node-agents of one placement cell and island sampling on one grid: one
+/// engine event per instant samples them all in join order.
+struct SweepBatch {
+  sim::Simulation* sim;
+  int island;
+  Rank cell;
+  double period;
+  sim::Time next_fire;
+  sim::EventId event = sim::kInvalidEvent;
+  std::uint64_t seq = 0;  ///< insertion sequence of the pending event
+  /// Join order; a member that left is null until the next sweep closes
+  /// the gap.
+  std::vector<SweepMember*> members = {};
+  std::size_t live = 0;   ///< non-null members
+  std::size_t index = 0;  ///< position in its SweepTable
+  bool firing = false;
+};
 
 Instance::Instance(sim::Simulation& sim, std::vector<hwsim::Node*> nodes,
                    InstanceConfig config)
@@ -13,6 +35,7 @@ Instance::Instance(sim::Simulation& sim, std::vector<hwsim::Node*> nodes,
       nodes_(std::move(nodes)),
       tbon_(static_cast<int>(nodes_.size()), config.tbon_fanout) {
   tallies_.resize(1);
+  sweeps_.resize(1);
   bootstrap();
 }
 
@@ -37,6 +60,7 @@ Instance::Instance(sim::ShardedEngine& engine, std::vector<int> island_of_rank,
     }
   }
   tallies_.resize(static_cast<std::size_t>(engine.islands()));
+  sweeps_.resize(static_cast<std::size_t>(engine.islands()));
   bootstrap();
 }
 
@@ -189,6 +213,110 @@ void Instance::broadcast(const std::shared_ptr<const Message>& shared,
       used += n;
     }
   }
+}
+
+void Instance::join_sweep(Rank rank, double period_s, SweepMember& member) {
+  if (!(period_s > 0.0) || !std::isfinite(period_s)) {
+    throw std::invalid_argument(
+        "Instance::join_sweep: period must be positive and finite");
+  }
+  leave_sweep(member);
+  sim::Simulation& sim = broker(rank).sim();
+  const int island = island_of(rank);
+  SweepTable& table = sweeps_[static_cast<std::size_t>(island)];
+  const Rank cell = sharded() ? tbon_.root_child(rank) : 0;
+  if (table.newest.size() <= static_cast<std::size_t>(cell)) {
+    table.newest.resize(static_cast<std::size_t>(cell) + 1, nullptr);
+  }
+  const sim::Time first = sim.now() + period_s;
+  // A member appended to a batch samples after all earlier ones, which is
+  // where a task of its own would have fired only if nothing else was
+  // enqueued since the batch's event. Other cells' batches are the one
+  // exception: a sweep touches only its own cell's nodes, and reordering
+  // cells at one instant is what a different shard count does anyway.
+  SweepBatch* batch = table.newest[static_cast<std::size_t>(cell)];
+  if (batch == nullptr || batch->period != period_s ||
+      batch->next_fire != first || sim.seq_counter() != table.run_end ||
+      batch->seq < table.run_begin) {
+    auto owned = std::make_unique<SweepBatch>(
+        SweepBatch{.sim = &sim,
+                   .island = island,
+                   .cell = cell,
+                   .period = period_s,
+                   .next_fire = first,
+                   .index = table.batches.size()});
+    batch = owned.get();
+    table.batches.push_back(std::move(owned));
+    batch->event = sim.schedule_at(first, [this, batch] { fire_sweep(*batch); });
+    note_sweep_enqueue(*batch);
+  }
+  member.batch_ = batch;
+  member.slot_ = static_cast<std::uint32_t>(batch->members.size());
+  batch->members.push_back(&member);
+  ++batch->live;
+}
+
+void Instance::leave_sweep(SweepMember& member) {
+  SweepBatch* batch = std::exchange(member.batch_, nullptr);
+  if (batch == nullptr) return;
+  batch->members[member.slot_] = nullptr;
+  if (--batch->live == 0 && !batch->firing) retire_sweep(*batch);
+}
+
+void Instance::note_sweep_enqueue(SweepBatch& batch) {
+  SweepTable& table = sweeps_[static_cast<std::size_t>(batch.island)];
+  batch.seq = batch.sim->seq_counter() - 1;
+  if (batch.seq != table.run_end) table.run_begin = batch.seq;
+  table.run_end = batch.seq + 1;
+  table.newest[static_cast<std::size_t>(batch.cell)] = &batch;
+}
+
+void Instance::retire_sweep(SweepBatch& batch) {
+  SweepTable& table = sweeps_[static_cast<std::size_t>(batch.island)];
+  batch.sim->cancel(batch.event);
+  SweepBatch*& newest = table.newest[static_cast<std::size_t>(batch.cell)];
+  if (newest == &batch) newest = nullptr;
+  auto& batches = table.batches;
+  const std::size_t i = batch.index;
+  std::swap(batches[i], batches.back());
+  batches[i]->index = i;
+  batches.pop_back();  // destroys `batch`
+}
+
+void Instance::fire_sweep(SweepBatch& batch) {
+  std::vector<SweepMember*>& members = batch.members;
+  if (batch.live != members.size()) {
+    // Close the gaps members left, keeping join order.
+    std::size_t n = 0;
+    for (SweepMember* m : members) {
+      if (m == nullptr) continue;
+      m->slot_ = static_cast<std::uint32_t>(n);
+      members[n++] = m;
+    }
+    members.resize(n);
+  }
+  // At site scale every member's state is a cache miss. Two members ahead
+  // of the one sampled, fetch the member itself; one ahead, let it fetch
+  // its node, ring row and instruments.
+  constexpr std::size_t kAhead = 4;
+  batch.firing = true;
+  const std::size_t n = members.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + 2 * kAhead < n) util::prefetch(members[i + 2 * kAhead]);
+    if (i + kAhead < n && members[i + kAhead] != nullptr) {
+      members[i + kAhead]->prefetch_sample();
+    }
+    if (SweepMember* m = members[i]) m->take_sample();
+  }
+  batch.firing = false;
+  if (batch.live == 0) {  // every member left during the sweep
+    retire_sweep(batch);
+    return;
+  }
+  // Absolute re-arm on the grid, clamped like sim::PeriodicTask's.
+  batch.next_fire = std::max(batch.next_fire + batch.period, batch.sim->now());
+  batch.event = batch.sim->rearm_fired(batch.event, batch.next_fire);
+  note_sweep_enqueue(batch);
 }
 
 void Instance::route(Message msg) {

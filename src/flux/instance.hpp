@@ -4,9 +4,12 @@
 // instances can be spawned on a subset of a parent's nodes, letting users
 // run their own scheduling and power policies inside their allocation
 // (§II-B). The instance owns the message router: all broker-to-broker
-// traffic passes through route(), which charges per-hop TBON latency.
+// traffic passes through route(), which charges per-hop TBON latency. It
+// also drives the node-agents' sensor sweeps, one engine event per batch of
+// agents and instant (join_sweep).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -24,6 +27,30 @@
 #include "sim/simulation.hpp"
 
 namespace fluxpower::flux {
+
+struct SweepBatch;
+
+/// A node-agent that samples its node on a fixed grid as a member of its
+/// instance's sweeps (Instance::join_sweep). The monitor's node-agent is
+/// one. Only the instance calls the hooks.
+class SweepMember {
+ protected:
+  SweepMember() = default;
+  ~SweepMember() = default;
+  SweepMember(const SweepMember&) = delete;
+  SweepMember& operator=(const SweepMember&) = delete;
+
+ private:
+  friend class Instance;
+  /// Take this instant's sample.
+  virtual void take_sample() = 0;
+  /// Prefetch what the next take_sample() touches. A sweep calls it a few
+  /// members ahead of the one it samples.
+  virtual void prefetch_sample() const noexcept = 0;
+
+  SweepBatch* batch_ = nullptr;  ///< null while not sampling
+  std::uint32_t slot_ = 0;       ///< index in the batch's member array
+};
 
 struct InstanceConfig {
   int tbon_fanout = 2;
@@ -149,6 +176,20 @@ class Instance {
     return children_;
   }
 
+  /// Sample `member` on `rank`'s engine every `period_s` seconds, first at
+  /// now() + period_s, until leave_sweep (a member already sampling leaves
+  /// its old grid first). Members of one placement cell (the monolithic
+  /// profile has one cell) on one grid form a batch: one engine event per
+  /// instant calls take_sample() on each member in join order, then re-arms.
+  /// A member joins a batch only while nothing else has been enqueued on
+  /// its engine since the batch's event, other cells' batches aside, so the
+  /// firing order is the one a periodic task per member would give. O(1).
+  /// Throws std::invalid_argument unless the period is positive and finite.
+  void join_sweep(Rank rank, double period_s, SweepMember& member);
+  /// Stop sampling `member`; a no-op when it is not sampling. O(1): the
+  /// last member out cancels its batch's event.
+  void leave_sweep(SweepMember& member);
+
   /// Load a module on every broker (e.g. the power monitor's node agents).
   template <typename ModuleT, typename... Args>
   void load_module_on_all(Args&&... args) {
@@ -176,7 +217,24 @@ class Instance {
     std::vector<Leg> legs;  ///< reused by every broadcast the island sends
   };
 
+  /// One island's sampling batches, cache-line padded like RouteTally.
+  struct alignas(64) SweepTable {
+    std::vector<std::unique_ptr<SweepBatch>> batches;
+    /// Per placement cell: its batch that enqueued an event last.
+    std::vector<SweepBatch*> newest;
+    /// [run_begin, run_end): the sequence numbers of the island's latest
+    /// run of consecutive batch enqueues.
+    std::uint64_t run_begin = 0;
+    std::uint64_t run_end = 0;
+  };
+
   void bootstrap();
+  /// Sample every member of `batch` in join order, then re-arm it.
+  void fire_sweep(SweepBatch& batch);
+  /// Record the event `batch` just enqueued on its engine.
+  void note_sweep_enqueue(SweepBatch& batch);
+  /// Cancel `batch`'s event and drop it from its table.
+  void retire_sweep(SweepBatch& batch);
   void broadcast(const std::shared_ptr<const Message>& shared, int src_isl);
   void deliver_leg(Broker* dest, double delay,
                    const std::shared_ptr<const Message>& shared, int src_isl);
@@ -195,6 +253,9 @@ class Instance {
   InstanceConfig config_;
   std::vector<hwsim::Node*> nodes_;
   Tbon tbon_;
+  /// One per island (one when monolithic). Declared before brokers_: a
+  /// broker's destructor unloads its modules, which leave their batches.
+  std::vector<SweepTable> sweeps_;
   std::vector<std::unique_ptr<Broker>> brokers_;
   std::unique_ptr<Kvs> kvs_;
   std::unique_ptr<Scheduler> scheduler_;

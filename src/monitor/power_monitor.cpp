@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 
 #include "flux/hostlist.hpp"
 #include "flux/instance.hpp"
 #include "monitor/client.hpp"
 #include "obs/trace.hpp"
+#include "util/prefetch.hpp"
 #include "variorum/variorum.hpp"
 
 namespace fluxpower::monitor {
@@ -87,6 +89,7 @@ PowerMonitorModule::~PowerMonitorModule() = default;
 
 void PowerMonitorModule::load(flux::Broker& broker) {
   broker_ = &broker;
+  node_ = broker.node();
   buffer_ = std::make_unique<ColumnarSampleStore>(config_.buffer_capacity);
 
   // Bind instruments in the broker registry. Counters are reset so a
@@ -140,11 +143,7 @@ void PowerMonitorModule::load(flux::Broker& broker) {
                           [this](const Message& m) { handle_set_config(m); });
   broker.register_service(kMetricsTopic,
                           [this](const Message& m) { handle_metrics(m); });
-  sampler_ = std::make_unique<sim::PeriodicTask>(
-      broker.sim(), config_.sample_period_s, [this] {
-        take_sample();
-        return true;
-      });
+  broker.instance().join_sweep(broker.rank(), config_.sample_period_s, *this);
 
   // Root-agent: external-client entry point, root rank only.
   if (broker.is_root()) {
@@ -163,8 +162,8 @@ void PowerMonitorModule::load(flux::Broker& broker) {
 }
 
 void PowerMonitorModule::unload() {
-  sampler_.reset();
   if (broker_ != nullptr) {
+    broker_->instance().leave_sweep(*this);
     broker_->unregister_service(kGetDataTopic);
     broker_->unregister_service(kGetSubtreeTopic);
     broker_->unregister_service(kStatusTopic);
@@ -179,6 +178,7 @@ void PowerMonitorModule::unload() {
     }
     broker_ = nullptr;
   }
+  node_ = nullptr;
   // The instruments live in the broker registry, which outlives the module;
   // only the handles are dropped here.
   samples_total_ = nullptr;
@@ -202,15 +202,22 @@ void PowerMonitorModule::refresh_gauges() {
   buffer_evicted_->set(static_cast<double>(buffer_->evicted()));
 }
 
+void PowerMonitorModule::prefetch_sample() const noexcept {
+  if (node_ == nullptr) return;
+  node_->prefetch_sample();
+  buffer_->prefetch_push();
+  util::prefetch_write(samples_total_);
+  util::prefetch_write(sweep_duration_);
+}
+
 void PowerMonitorModule::take_sample() {
-  hwsim::Node* node = broker_->node();
-  if (node == nullptr) return;  // broker-only test instance
+  if (node_ == nullptr) return;  // broker-only test instance
   // One typed sensor sweep, stored raw: sizeof(PowerSample) bytes, no JSON,
   // no heap allocation on the 2 s hot path.
-  const hwsim::PowerSample s = variorum::get_node_power_sample(*node);
+  const hwsim::PowerSample s = variorum::get_node_power_sample(*node_);
   samples_total_->inc();
   // The sweep burned CPU whether or not the sensors answered.
-  node->add_stolen_time(config_.sample_cost_s);
+  node_->add_stolen_time(config_.sample_cost_s);
   sweep_duration_->observe(config_.sample_cost_s);
   if (obs::TraceSink& tr = obs::process_trace(); tr.enabled()) {
     tr.complete(broker_->sim().now(), config_.sample_cost_s, "sensor-sweep",
@@ -530,9 +537,10 @@ void PowerMonitorModule::handle_set_config(const Message& req) {
   // std::size_t and pass a zero test.
   const std::int64_t requested = req.payload.int_or(
       "buffer_capacity", static_cast<std::int64_t>(config_.buffer_capacity));
-  if (period <= 0.0 || requested < 1) {
+  if (!(period > 0.0) || !std::isfinite(period) || requested < 1) {
     broker_->respond_error(req, flux::kEInval,
-                           "period and capacity must be positive");
+                           "period must be positive and finite, capacity "
+                           "positive");
     return;
   }
   const auto capacity = static_cast<std::size_t>(requested);
@@ -550,12 +558,9 @@ void PowerMonitorModule::handle_set_config(const Message& req) {
     buffer_ = std::move(replacement);
   }
   if (period != config_.sample_period_s) {
+    // Leave the old grid's batch for one on the new grid from now.
     config_.sample_period_s = period;
-    sampler_ = std::make_unique<sim::PeriodicTask>(
-        broker_->sim(), period, [this] {
-          take_sample();
-          return true;
-        });
+    broker_->instance().join_sweep(broker_->rank(), period, *this);
   }
   Json ack = Json::object();
   ack["sample_period_s"] = config_.sample_period_s;

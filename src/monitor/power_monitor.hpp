@@ -31,12 +31,12 @@
 #include <memory>
 
 #include "flux/broker.hpp"
+#include "flux/instance.hpp"
 #include "flux/jobspec.hpp"
 #include "flux/module.hpp"
 #include "flux/telemetry.hpp"
 #include "hwsim/types.hpp"
 #include "monitor/sample_store.hpp"
-#include "sim/simulation.hpp"
 #include "util/json.hpp"
 
 namespace fluxpower::monitor {
@@ -90,7 +90,8 @@ inline constexpr const char* kSetConfigTopic = "power-monitor.set-config";
 /// cluster; the aggregate equals the per-node registry sums exactly.
 inline constexpr const char* kMetricsTopic = "power.metrics";
 
-class PowerMonitorModule final : public flux::Module {
+class PowerMonitorModule final : public flux::SweepMember,
+                                 public flux::Module {
  public:
   explicit PowerMonitorModule(PowerMonitorConfig config = {});
   ~PowerMonitorModule() override;
@@ -125,7 +126,10 @@ class PowerMonitorModule final : public flux::Module {
   const ColumnarSampleStore* store() const noexcept { return buffer_.get(); }
 
  private:
-  void take_sample();
+  /// One sensor sweep into the ring; the instance's sweep batch calls it
+  /// every sample_period_s.
+  void take_sample() override;
+  void prefetch_sample() const noexcept override;
   void handle_get_data(const flux::Message& req);
   void handle_get_subtree(const flux::Message& req);
   void handle_query_job(const flux::Message& req);
@@ -143,8 +147,8 @@ class PowerMonitorModule final : public flux::Module {
 
   PowerMonitorConfig config_;
   flux::Broker* broker_ = nullptr;
+  hwsim::Node* node_ = nullptr;  ///< the broker's node, read every sweep
   std::unique_ptr<ColumnarSampleStore> buffer_;
-  std::unique_ptr<sim::PeriodicTask> sampler_;
   // Instruments in the owning broker's registry (bound in load(), reset
   // there too so a reloaded module starts a fresh ledger like the plain
   // counters it replaced). The registry outlives the module.

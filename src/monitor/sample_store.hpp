@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "hwsim/types.hpp"
+#include "util/prefetch.hpp"
 
 namespace fluxpower::monitor {
 
@@ -60,6 +61,16 @@ class ColumnarSampleStore {
   /// be monotone non-decreasing across pushes (the simulator's sample
   /// clock only moves forward) — the window search relies on it.
   void push(const hwsim::PowerSample& s);
+  /// Prefetch the row the next push() writes (nothing while the block has
+  /// yet to grow for it) and the hostname table it interns into.
+  void prefetch_push() const noexcept {
+    const std::size_t p = size_ == capacity_ ? head_ : phys(size_);
+    if (p >= slot_cap_) return;
+    const double* r = row(p);
+    util::prefetch_write(r);
+    util::prefetch_write(r + row_words() - 1);
+    util::prefetch(host_table_.data());
+  }
 
   /// Element i in insertion order (0 = oldest retained), materialized by
   /// value from its row. Throws std::out_of_range like RingBuffer.

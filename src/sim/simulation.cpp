@@ -80,12 +80,34 @@ void Simulation::push_entry(const Entry& e) {
     return;
   }
   std::vector<Entry>& bucket = buckets_[static_cast<std::size_t>(b)];
-  if (bucket.capacity() == 0 && !free_runs_.empty()) {
-    bucket.swap(free_runs_.back());
-    free_runs_.pop_back();
-  }
+  if (bucket.size() == bucket.capacity()) grow_from_free_runs(bucket);
   bucket.push_back(e);
   occupied_[static_cast<std::size_t>(b) / 64] |= std::uint64_t{1} << (b % 64);
+}
+
+void Simulation::grow_from_free_runs(std::vector<Entry>& bucket) {
+  // Best fit: move into the smallest recycled vector larger than the
+  // bucket's own, which goes back on the list. A bucket holding one
+  // periodic re-arm then takes a small vector and leaves the large ones to
+  // the bursts that need them; taking any vector would let a burst find
+  // only small ones and grow another, until every vector was burst-sized.
+  std::size_t best = free_runs_.size();
+  for (std::size_t i = 0; i < free_runs_.size(); ++i) {
+    const std::size_t cap = free_runs_[i].capacity();
+    if (cap > bucket.capacity() &&
+        (best == free_runs_.size() || cap < free_runs_[best].capacity())) {
+      best = i;
+    }
+  }
+  if (best == free_runs_.size()) return;  // push_back grows the bucket
+  std::vector<Entry>& run = free_runs_[best];
+  run.assign(bucket.begin(), bucket.end());  // fits: no allocation
+  run.swap(bucket);
+  run.clear();
+  if (run.capacity() == 0) {
+    std::swap(run, free_runs_.back());
+    free_runs_.pop_back();
+  }
 }
 
 int Simulation::next_occupied_bucket(int from) const noexcept {
@@ -321,8 +343,9 @@ Time Simulation::next_event_time() {
 PeriodicTask::PeriodicTask(Simulation& sim, Time period,
                            std::function<bool()> fn, Time initial_delay)
     : sim_(sim), period_(period), fn_(std::move(fn)) {
-  if (period <= 0.0) {
-    throw std::invalid_argument("PeriodicTask: period must be positive");
+  if (!(period > 0.0) || !std::isfinite(period)) {
+    throw std::invalid_argument(
+        "PeriodicTask: period must be positive and finite");
   }
   next_fire_ = sim_.now() + (initial_delay >= 0.0 ? initial_delay : period_);
   pending_ = sim_.schedule_at(next_fire_, [this] { fire(); });

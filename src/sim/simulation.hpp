@@ -296,6 +296,9 @@ class Simulation {
   Time bucket_end(int b) const noexcept {
     return wheel_base_ + (b + 1) * kBucketWidth;
   }
+  /// Called when `bucket` is full (or has no storage yet): trade it for a
+  /// larger vector from free_runs_ when one is there.
+  void grow_from_free_runs(std::vector<Entry>& bucket);
   int next_occupied_bucket(int from) const noexcept;
   void drain_bucket(int b);
   void rebase(Time t);
@@ -335,8 +338,9 @@ class Simulation {
   // and sorted into the next run — a broadcast fan-out (N deliveries at
   // near-identical times) then costs one linear scan instead of N log N
   // heap pops. A drained bucket hands its storage to free_runs_, and a
-  // bucket takes storage from there when it receives its first entry, so
-  // the list never holds more vectors than buckets were occupied at once.
+  // bucket takes storage from there, best fit, when it receives its first
+  // entry or fills up (grow_from_free_runs), so the list never holds more
+  // vectors than buckets were occupied at once.
   std::vector<Entry> ready_;
   std::size_t ready_pos_ = 0;
   std::vector<Entry> overflow_;

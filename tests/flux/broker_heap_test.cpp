@@ -1,10 +1,12 @@
-// Heap a broker stack holds and a broadcast allocates. Each broker keeps its
-// services in one contiguous table whose topics point into the process-wide
-// interned table, so a service costs a table slot rather than a tree node
-// and a topic copy. A broadcast schedules one event per instant (per
-// placement cell when sharded), so its blocks grow with those batches: one
-// shared rank block for the long ones and one mailbox closure per batch
-// bound for another island, never one per leg.
+// Heap a broker stack holds, and what a broadcast and a sensor sweep
+// allocate. Each broker keeps its services in one contiguous table whose
+// topics point into the process-wide interned table, so a service costs a
+// table slot rather than a tree node and a topic copy, and its node-agent
+// is one slot in a sweep batch rather than a periodic task of its own. A
+// broadcast schedules one event per instant (per placement cell when
+// sharded), so its blocks grow with those batches: one shared rank block
+// for the long ones and one mailbox closure per batch bound for another
+// island, never one per leg. A sweep of a full ring allocates nothing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -44,9 +46,32 @@ TEST(BrokerHeap, LiveBytesPerBrokerOfAMonitoredStack) {
   // the measured one pays only what every broker pays.
   stack_bytes_per_broker();
   const std::int64_t per_broker = stack_bytes_per_broker();
-  // 2,199 B measured; a map node and a topic copy per service held 2,686 B.
-  EXPECT_LE(per_broker, 2304) << per_broker << " B per broker";
+  // 2,146 B measured. A periodic sampler task per broker held 2,199 B, and
+  // a map node and a topic copy per service 2,686 B before that.
+  EXPECT_LE(per_broker, 2176) << per_broker << " B per broker";
   RecordProperty("bytes_per_broker", static_cast<int>(per_broker));
+}
+
+TEST(BrokerHeap, SweepOf4096AgentsAllocatesNothingPerSweep) {
+  constexpr int kNodes = 4096;
+  sim::Simulation sim;
+  hwsim::Cluster cluster =
+      hwsim::make_cluster(sim, hwsim::Platform::LassenIbmAc922, kNodes);
+  std::vector<hwsim::Node*> nodes;
+  for (int i = 0; i < kNodes; ++i) nodes.push_back(&cluster.node(i));
+  Instance instance(sim, std::move(nodes));
+  monitor::PowerMonitorConfig cfg = monitor::PowerMonitorConfig::for_lassen();
+  cfg.buffer_capacity = 16;
+  cfg.archive_jobs = false;
+  instance.load_module_on_all<monitor::PowerMonitorModule>(cfg);
+  // Twenty sweeps fill every ring; from then on a sweep overwrites rows.
+  sim.run_until(40.0);
+  const std::uint64_t events = sim.events_executed();
+  const std::uint64_t before = test::heap_allocations();
+  sim.run_until(80.0);
+  EXPECT_EQ(test::heap_allocations() - before, 0u);
+  // One batch of 4,096 agents: one engine event per sweep.
+  EXPECT_EQ(sim.events_executed() - events, 20u);
 }
 
 TEST(BrokerHeap, ShardedBroadcastAllocatesPerBatchNotPerLeg) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -120,6 +121,26 @@ TEST_F(ReconfigAccountingTest, CapacityBelowOneIsRejected) {
   EXPECT_EQ(after.capacity, 8);
   EXPECT_EQ(after.size, 8) << "a rejected request keeps the buffer";
   EXPECT_EQ(after.taken, after.evicted + after.size + after.failures);
+}
+
+// A period that is not positive and finite is refused before it reaches
+// the config: +inf would stop sampling for good, and NaN would make the
+// engine throw when the sampler re-armed.
+TEST_F(ReconfigAccountingTest, NonFinitePeriodIsRejected) {
+  for (double period : {std::numeric_limits<double>::infinity(),
+                        std::numeric_limits<double>::quiet_NaN()}) {
+    const double t = sim_.now();
+    util::Json bad = util::Json::object();
+    bad["sample_period_s"] = period;
+    set_config(0, std::move(bad), flux::kEInval);
+    ASSERT_NO_THROW(sim_.run_until(t + 20.0));
+  }
+  // Still sampling every second: t = 1 .. 40.
+  const Status st = status_of(0);
+  EXPECT_EQ(st.taken, 40);
+  auto* mod = dynamic_cast<PowerMonitorModule*>(
+      instance_->broker(0).find_module("power-monitor"));
+  EXPECT_EQ(mod->config().sample_period_s, 1.0);
 }
 
 TEST_F(ReconfigAccountingTest, StraddlingWindowReportsPartial) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 namespace fluxpower::sim {
@@ -187,6 +188,18 @@ TEST(PeriodicTask, NonPositivePeriodThrows) {
                std::invalid_argument);
   EXPECT_THROW(PeriodicTask(sim, -1.0, [] { return true; }),
                std::invalid_argument);
+}
+
+TEST(PeriodicTask, NonFinitePeriodThrows) {
+  // +inf would fire once and never again; NaN has no next firing time.
+  Simulation sim;
+  EXPECT_THROW(PeriodicTask(sim, std::numeric_limits<double>::infinity(),
+                            [] { return true; }),
+               std::invalid_argument);
+  EXPECT_THROW(PeriodicTask(sim, std::numeric_limits<double>::quiet_NaN(),
+                            [] { return true; }),
+               std::invalid_argument);
+  EXPECT_EQ(sim.pending(), 0u);
 }
 
 TEST(PeriodicTask, StopInsideCallbackIsSafe) {

@@ -11,6 +11,7 @@
 //
 // Job syntax: app:nnodes[:work_scale[:submit_time_s]] with app one of
 // lammps, gemm, quicksilver, laghos, nqueens.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -60,6 +61,20 @@ hwsim::Platform parse_platform(const std::string& s, const char* argv0) {
   usage(argv0, "unknown platform " + s);
 }
 
+/// The whole of `value` as a T. No digits, trailing text or a value out of
+/// T's range is a usage error naming the option.
+template <typename T>
+T parse_number(const std::string& option, const std::string& value,
+               const char* argv0) {
+  T number{};
+  const char* end = value.data() + value.size();
+  const auto [stop, ec] = std::from_chars(value.data(), end, number);
+  if (ec != std::errc() || stop != end) {
+    usage(argv0, "bad " + option + " value '" + value + "'");
+  }
+  return number;
+}
+
 JobRequest parse_job(const std::string& spec, const char* argv0) {
   JobRequest req;
   std::vector<std::string> parts;
@@ -103,17 +118,20 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0], arg + " needs a value");
       return argv[++i];
     };
+    auto number = [&]<typename T>(T& out) {
+      out = parse_number<T>(arg, next(), argv[0]);
+    };
     if (arg == "--platform") cfg.platform = parse_platform(next(), argv[0]);
-    else if (arg == "--nodes") cfg.nodes = std::stoi(next());
+    else if (arg == "--nodes") number(cfg.nodes);
     else if (arg == "--policy") policy = next();
-    else if (arg == "--bound") bound = std::stod(next());
-    else if (arg == "--node-cap") node_cap = std::stod(next());
+    else if (arg == "--bound") number(bound);
+    else if (arg == "--node-cap") number(node_cap);
     else if (arg == "--sched") sched = next();
-    else if (arg == "--seed") cfg.seed = std::stoull(next());
+    else if (arg == "--seed") number(cfg.seed);
     else if (arg == "--variability") cfg.runtime_variability = true;
     else if (arg == "--csv") csv_prefix = next();
     else if (arg == "--json") print_json = true;
-    else if (arg == "--timeline") timeline_job = std::stoll(next());
+    else if (arg == "--timeline") number(timeline_job);
     else if (arg == "--job") jobs.push_back(parse_job(next(), argv[0]));
     else if (arg == "--help" || arg == "-h") usage(argv[0]);
     else usage(argv[0], "unknown option " + arg);
