@@ -18,8 +18,8 @@ AppRuntime::AppRuntime(sim::Simulation& sim, std::vector<hwsim::Node*> nodes,
   if (profile_.phases.empty()) {
     throw std::invalid_argument("AppRuntime: profile has no phases");
   }
-  if (options_.step_s <= 0.0) {
-    throw std::invalid_argument("AppRuntime: step must be positive");
+  if (!(options_.step_s > 0.0) || !std::isfinite(options_.step_s)) {
+    throw std::invalid_argument("AppRuntime: step must be positive and finite");
   }
   double total = 0.0;
   for (const AppPhase& ph : profile_.phases) total += ph.work_frac;
@@ -82,33 +82,54 @@ const AppPhase& AppRuntime::phase_at(double work) const {
 void AppRuntime::apply_phase_demand(const AppPhase& phase) {
   // CPU/memory draw partially follows progress when the GPUs are throttled
   // (cores wait on kernels): scale the active-above-idle portion by the
-  // coupling factor against last step's speed.
+  // coupling factor against last step's speed. The demand depends on a node
+  // only through its idle floor, so identical nodes share one: it is
+  // rebuilt only when a floor differs, bit for bit, from the one it was
+  // built from.
   const double follow =
       1.0 - profile_.cpu_coupling + profile_.cpu_coupling * last_speed_;
+  hwsim::LoadDemand d;
+  const hwsim::LoadDemand* built_for = nullptr;
   for (hwsim::Node* n : nodes_) {
     const hwsim::LoadDemand& floor = n->idle_demand();
-    hwsim::LoadDemand d;
-    d.cpu_w.resize(floor.cpu_w.size());
-    for (std::size_t i = 0; i < d.cpu_w.size(); ++i) {
-      d.cpu_w[i] = floor.cpu_w[i] + (phase.cpu_w - floor.cpu_w[i]) * follow;
+    if (built_for == nullptr || !hwsim::same_bits(floor, *built_for)) {
+      d.cpu_w.resize(floor.cpu_w.size());
+      for (std::size_t i = 0; i < d.cpu_w.size(); ++i) {
+        d.cpu_w[i] = floor.cpu_w[i] + (phase.cpu_w - floor.cpu_w[i]) * follow;
+      }
+      d.gpu_w.assign(floor.gpu_w.size(), phase.gpu_w);
+      d.mem_w = floor.mem_w + (phase.mem_w - floor.mem_w) * follow;
+      built_for = &floor;
     }
-    d.gpu_w.assign(floor.gpu_w.size(), phase.gpu_w);
-    d.mem_w = floor.mem_w + (phase.mem_w - floor.mem_w) * follow;
     n->set_demand(d);
   }
 }
 
 double AppRuntime::min_node_speed(const AppPhase& phase) const {
+  // Speed is driven by how much of the *wanted* (uncoupled) power each
+  // device class received. The wanted demand depends on a node only through
+  // its floor's shape, and phase_speed is a pure function of (profile,
+  // phase, want, grants): a node whose grants equal, bit for bit, those of
+  // the last node evaluated under the same want runs at that node's speed.
   double speed = 1.0;
+  hwsim::LoadDemand want;
+  const hwsim::Grants* evaluated = nullptr;
+  double node_speed = 1.0;
   for (hwsim::Node* n : nodes_) {
-    // Reconstruct the uncoupled demand for the ratio computation: speed is
-    // driven by how much of the *wanted* power each device class received.
     const hwsim::LoadDemand& floor = n->idle_demand();
-    hwsim::LoadDemand want;
-    want.cpu_w.assign(floor.cpu_w.size(), phase.cpu_w);
-    want.gpu_w.assign(floor.gpu_w.size(), phase.gpu_w);
-    want.mem_w = phase.mem_w;
-    speed = std::min(speed, phase_speed(profile_, phase, want, n->grants()));
+    const bool new_shape = evaluated == nullptr ||
+                           floor.cpu_w.size() != want.cpu_w.size() ||
+                           floor.gpu_w.size() != want.gpu_w.size();
+    if (new_shape) {
+      want.cpu_w.assign(floor.cpu_w.size(), phase.cpu_w);
+      want.gpu_w.assign(floor.gpu_w.size(), phase.gpu_w);
+      want.mem_w = phase.mem_w;
+    }
+    if (new_shape || !hwsim::same_bits(n->grants(), *evaluated)) {
+      node_speed = phase_speed(profile_, phase, want, n->grants());
+      evaluated = &n->grants();
+    }
+    speed = std::min(speed, node_speed);
   }
   return speed;
 }

@@ -317,7 +317,7 @@ void Scenario::record_tick() {
     TimelinePoint p;
     p.t_s = t;
     const hwsim::Grants& g = node->grants();
-    p.node_w = g.total();
+    p.node_w = node->node_draw_w();
     p.gpu_w.assign(g.gpu_w.begin(), g.gpu_w.end());
     p.cpu_w.assign(g.cpu_w.begin(), g.cpu_w.end());
     p.mem_w = g.mem_w;
@@ -351,7 +351,7 @@ void Scenario::record_cell_tick(std::size_t cell) {
     TimelinePoint p;
     p.t_s = t;
     const hwsim::Grants& g = node->grants();
-    p.node_w = g.total();
+    p.node_w = node->node_draw_w();
     p.gpu_w.assign(g.gpu_w.begin(), g.gpu_w.end());
     p.cpu_w.assign(g.cpu_w.begin(), g.cpu_w.end());
     p.mem_w = g.mem_w;

@@ -51,7 +51,7 @@ PowerSample ArmGraceNode::read_sensors() {
   for (double w : grants_.cpu_w) s.cpu_w.push_back(noisy(w));
   s.mem_w = noisy(grants_.mem_w);
   // BMC board-power sensor: direct node reading including base power.
-  s.node_w = noisy(grants_.total());
+  s.node_w = noisy(draw_w_);
   s.node_estimate_w = std::nullopt;
   return s;
 }

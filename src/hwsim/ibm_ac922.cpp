@@ -207,7 +207,7 @@ PowerSample IbmAc922Node::read_sensors() {
   for (double w : grants_.gpu_w) s.gpu_w.push_back(noisy(w));
   s.mem_w = noisy(grants_.mem_w);
   // The OCC node sensor is direct and includes uncore/base power.
-  s.node_w = noisy(grants_.total());
+  s.node_w = noisy(draw_w_);
   s.node_estimate_w = std::nullopt;
   s.gpu_is_oam = false;
   return s;

@@ -78,8 +78,9 @@ class Node {
   /// reads this to derive its progress rate.
   const Grants& grants() const noexcept { return grants_; }
 
-  /// Instantaneous total node draw (watts), including base power.
-  double node_draw_w() const noexcept { return grants_.total(); }
+  /// Instantaneous total node draw (watts), including base power: the sum
+  /// of the grants, stored when refresh() derives them.
+  double node_draw_w() const noexcept { return draw_w_; }
 
   /// Exact energy consumed since construction (or last reset_energy).
   double energy_joules() const { return meter_.joules(sim_.now()); }
@@ -128,8 +129,10 @@ class Node {
     util::prefetch(this);
     prefetch_span(&grants_, &fault_tap_ + 1);
   }
-  /// Prefetch the grants node_draw_w() sums, the same way.
-  void prefetch_grants() const noexcept { prefetch_span(&grants_, &grants_ + 1); }
+  /// Prefetch the grants and the draw node_draw_w() reads, the same way.
+  void prefetch_grants() const noexcept {
+    prefetch_span(&grants_, &draw_w_ + 1);
+  }
 
   /// Relative sensor noise sigma (0 disables). Sensors on real machines
   /// jitter at the ~0.5% level; tables integrate the exact meter instead.
@@ -189,9 +192,9 @@ class Node {
   virtual CapResult do_set_gpu_power_cap(int gpu, double watts);
   virtual CapResult do_set_socket_power_cap(int socket, double watts);
 
-  /// Recompute grants from the current demand and update the energy meter.
-  /// Must follow any change to a grant input; cap stores get it through
-  /// store_cap().
+  /// Recompute grants and their sum (draw_w_) from the current demand and
+  /// update the energy meter. Must follow any change to a grant input; cap
+  /// stores get it through store_cap().
   void refresh();
 
   /// Store a cap register value and refresh(). When `slot` already holds
@@ -217,6 +220,7 @@ class Node {
   LoadDemand requested_;   ///< raw workload request (pre-flooring)
   LoadDemand demand_;      ///< request floored at the active idle floor
   Grants grants_;
+  double draw_w_ = 0.0;  ///< grants_.total(), stored by refresh()
   EnergyMeter meter_;
   util::Rng rng_;
   double sensor_noise_ = 0.0;

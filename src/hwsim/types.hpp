@@ -16,7 +16,9 @@
 // that every app step and cap write runs never touches the heap either.
 #pragma once
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
 #include <optional>
 #include <ostream>
@@ -156,6 +158,33 @@ struct Grants {
   double cpu_total() const;
   double total() const;
 };
+
+// Bit-for-bit equality: -0.0 and 0.0 differ, a NaN equals its own bits.
+// The grant and progress rules are pure functions of their watts, so
+// inputs equal here give bit-identical outputs; the node and the app
+// runtime skip recomputing on that test.
+inline bool same_bits(double a, double b) noexcept {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+template <std::size_t N>
+bool same_bits(const FixedWattsVec<N>& a, const FixedWattsVec<N>& b) noexcept {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!same_bits(a[i], b[i])) return false;
+  }
+  return true;
+}
+
+inline bool same_bits(const LoadDemand& a, const LoadDemand& b) noexcept {
+  return same_bits(a.mem_w, b.mem_w) && same_bits(a.cpu_w, b.cpu_w) &&
+         same_bits(a.gpu_w, b.gpu_w);
+}
+
+inline bool same_bits(const Grants& a, const Grants& b) noexcept {
+  return same_bits(a.mem_w, b.mem_w) && same_bits(a.base_w, b.base_w) &&
+         same_bits(a.cpu_w, b.cpu_w) && same_bits(a.gpu_w, b.gpu_w);
+}
 
 /// Optional watts reading without std::optional (which is not guaranteed
 /// trivially copyable and doubles the storage granularity). Mirrors the

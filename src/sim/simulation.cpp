@@ -91,23 +91,27 @@ void Simulation::grow_from_free_runs(std::vector<Entry>& bucket) {
   // periodic re-arm then takes a small vector and leaves the large ones to
   // the bursts that need them; taking any vector would let a burst find
   // only small ones and grow another, until every vector was burst-sized.
-  std::size_t best = free_runs_.size();
-  for (std::size_t i = 0; i < free_runs_.size(); ++i) {
-    const std::size_t cap = free_runs_[i].capacity();
-    if (cap > bucket.capacity() &&
-        (best == free_runs_.size() || cap < free_runs_[best].capacity())) {
-      best = i;
-    }
-  }
-  if (best == free_runs_.size()) return;  // push_back grows the bucket
-  std::vector<Entry>& run = free_runs_[best];
+  // The lowest non-empty class above the bucket's is that vector (`own` is
+  // the bucket's class + 1, 0 while it has no storage).
+  const int own = static_cast<int>(std::bit_width(bucket.capacity()));
+  const std::uint64_t above =
+      own < 64 ? free_classes_ & (~std::uint64_t{0} << own) : 0;
+  if (above == 0) return;  // push_back grows the bucket
+  const int k = std::countr_zero(above);
+  auto& list = free_runs_[static_cast<std::size_t>(k)];
+  std::vector<Entry> run = std::move(list.back());
+  list.pop_back();
+  if (list.empty()) free_classes_ &= ~(std::uint64_t{1} << k);
   run.assign(bucket.begin(), bucket.end());  // fits: no allocation
   run.swap(bucket);
   run.clear();
-  if (run.capacity() == 0) {
-    std::swap(run, free_runs_.back());
-    free_runs_.pop_back();
-  }
+  if (run.capacity() > 0) push_free_run(std::move(run));
+}
+
+void Simulation::push_free_run(std::vector<Entry>&& run) {
+  const int k = static_cast<int>(std::bit_width(run.capacity())) - 1;
+  free_runs_[static_cast<std::size_t>(k)].push_back(std::move(run));
+  free_classes_ |= std::uint64_t{1} << k;
 }
 
 int Simulation::next_occupied_bucket(int from) const noexcept {
@@ -135,7 +139,7 @@ void Simulation::drain_bucket(int b) {
   ready_.clear();
   ready_pos_ = 0;
   ready_.swap(bucket);
-  if (bucket.capacity() > 0) free_runs_.push_back(std::exchange(bucket, {}));
+  if (bucket.capacity() > 0) push_free_run(std::exchange(bucket, {}));
   // Tombstones sort fine by their recorded (time, seq) and the consume
   // loop skips them anyway, so no compaction pass (which would cost one
   // slot probe per entry). Synchronized periodic sweeps re-arm in firing

@@ -299,6 +299,8 @@ class Simulation {
   /// Called when `bucket` is full (or has no storage yet): trade it for a
   /// larger vector from free_runs_ when one is there.
   void grow_from_free_runs(std::vector<Entry>& bucket);
+  /// Put drained storage (capacity > 0) on its class's free list.
+  void push_free_run(std::vector<Entry>&& run);
   int next_occupied_bucket(int from) const noexcept;
   void drain_bucket(int b);
   void rebase(Time t);
@@ -339,14 +341,18 @@ class Simulation {
   // near-identical times) then costs one linear scan instead of N log N
   // heap pops. A drained bucket hands its storage to free_runs_, and a
   // bucket takes storage from there, best fit, when it receives its first
-  // entry or fills up (grow_from_free_runs), so the list never holds more
-  // vectors than buckets were occupied at once.
+  // entry or fills up (grow_from_free_runs), so the lists never hold more
+  // vectors than buckets were occupied at once. free_runs_[k] holds the
+  // vectors whose capacity has bit width k + 1; every queue vector grows
+  // only by push_back doubling from 0, so each class holds one capacity,
+  // and bit k of free_classes_ is set while free_runs_[k] is non-empty.
   std::vector<Entry> ready_;
   std::size_t ready_pos_ = 0;
   std::vector<Entry> overflow_;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> far_;
   std::vector<std::vector<Entry>> buckets_;
-  std::vector<std::vector<Entry>> free_runs_;
+  std::array<std::vector<std::vector<Entry>>, 64> free_runs_;
+  std::uint64_t free_classes_ = 0;
   std::array<std::uint64_t, kNumBuckets / 64> occupied_{};
   Time wheel_base_ = 0.0;
   int cursor_ = 0;

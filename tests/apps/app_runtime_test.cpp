@@ -3,7 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <string>
+
+#include "hwsim/arm_grace.hpp"
 #include "hwsim/cluster.hpp"
+#include "hwsim/cray_ex235a.hpp"
+#include "hwsim/ibm_ac922.hpp"
+#include "hwsim/intel_xeon.hpp"
 #include "variorum/variorum.hpp"
 
 namespace fluxpower::apps {
@@ -43,8 +55,12 @@ TEST_F(AppRuntimeTest, ConstructionValidation) {
   badfrac.phases[0].work_frac = 0.9;
   EXPECT_THROW(AppRuntime(sim_, nodes, badfrac), std::invalid_argument);
   AppRuntimeOptions opts;
-  opts.step_s = 0.0;
-  EXPECT_THROW(AppRuntime(sim_, nodes, prof, opts), std::invalid_argument);
+  for (double step : {0.0, -0.5, std::numeric_limits<double>::quiet_NaN(),
+                      std::numeric_limits<double>::infinity()}) {
+    opts.step_s = step;
+    EXPECT_THROW(AppRuntime(sim_, nodes, prof, opts), std::invalid_argument)
+        << "step_s " << step;
+  }
 }
 
 TEST_F(AppRuntimeTest, UnconstrainedRunMatchesNominalRuntime) {
@@ -182,6 +198,166 @@ TEST_F(AppRuntimeTest, QuicksilverPowerSignalIsPeriodic) {
   const double lo = *std::min_element(series.begin(), series.end());
   const double hi = *std::max_element(series.begin(), series.end());
   EXPECT_GT(hi - lo, 300.0);  // visible square wave (Fig 1b)
+}
+
+// ---------------------------------------------------------------------------
+// Work shared across identical nodes
+// ---------------------------------------------------------------------------
+
+std::uint64_t bits(double w) { return std::bit_cast<std::uint64_t>(w); }
+
+template <std::size_t N>
+void expect_same_bits(const hwsim::FixedWattsVec<N>& a,
+                      const hwsim::FixedWattsVec<N>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(bits(a[i]), bits(b[i])) << "index " << i;
+  }
+}
+
+// The runtime's step loops with nothing shared across nodes: every node
+// gets its own demand, want and phase_speed call. Bulk-synchronous, no
+// stolen time (nothing here steals), speed factor 1.
+struct PerNodeReference {
+  std::vector<hwsim::Node*> nodes;
+  const AppProfile& profile;
+  const AppRuntime& phases;  ///< phase_at() only
+  double step_s;
+  double work = 0.0;
+  double last_speed = 1.0;
+
+  void step() {
+    const AppPhase& phase = phases.phase_at(work);
+    const double follow =
+        1.0 - profile.cpu_coupling + profile.cpu_coupling * last_speed;
+    for (hwsim::Node* n : nodes) {
+      const hwsim::LoadDemand& floor = n->idle_demand();
+      hwsim::LoadDemand d;
+      d.cpu_w.resize(floor.cpu_w.size());
+      for (std::size_t i = 0; i < d.cpu_w.size(); ++i) {
+        d.cpu_w[i] = floor.cpu_w[i] + (phase.cpu_w - floor.cpu_w[i]) * follow;
+      }
+      d.gpu_w.assign(floor.gpu_w.size(), phase.gpu_w);
+      d.mem_w = floor.mem_w + (phase.mem_w - floor.mem_w) * follow;
+      n->set_demand(d);
+    }
+    double speed = 1.0;
+    for (hwsim::Node* n : nodes) {
+      const hwsim::LoadDemand& floor = n->idle_demand();
+      hwsim::LoadDemand want;
+      want.cpu_w.assign(floor.cpu_w.size(), phase.cpu_w);
+      want.gpu_w.assign(floor.gpu_w.size(), phase.gpu_w);
+      want.mem_w = phase.mem_w;
+      speed = std::min(speed, phase_speed(profile, phase, want, n->grants()));
+    }
+    speed = std::clamp(speed, 1e-3, 2.0);
+    last_speed = std::min(speed, 1.0);
+    const double remaining = profile.total_work() - work;
+    work = step_s * speed >= remaining ? profile.total_work()
+                                       : work + step_s * speed;
+  }
+};
+
+// Two copies of one allocation, built by `make` with identical devices and
+// caps: an AppRuntime drives the first, the per-node reference the second.
+// After every step both report the same work done, and every node the same
+// demand and grants, bit for bit.
+template <typename Make>
+void expect_runtime_matches_per_node_reference(Make make) {
+  sim::Simulation sim;
+  std::vector<std::unique_ptr<hwsim::Node>> owned;
+  std::vector<hwsim::Node*> shared = make(sim, owned, "rt");
+  std::vector<hwsim::Node*> per_node = make(sim, owned, "ref");
+  ASSERT_EQ(shared.size(), per_node.size());
+  sim.run();  // let any delayed cap store land
+
+  const auto profile =
+      make_profile(AppKind::Gemm, Platform::LassenIbmAc922,
+                   static_cast<int>(shared.size()), 0.05);
+  AppRuntimeOptions opts;
+  opts.step_s = 0.5;
+  AppRuntime rt(sim, shared, profile, opts);
+  PerNodeReference ref{per_node, profile, rt, opts.step_s};
+  rt.start([] {});
+  int steps = 0;
+  while (rt.running()) {
+    ASSERT_TRUE(sim.step());
+    if (!rt.running()) break;  // the completion event, not a step
+    ref.step();
+    ++steps;
+    SCOPED_TRACE("step " + std::to_string(steps));
+    ASSERT_EQ(bits(rt.work_done()), bits(ref.work));
+    for (std::size_t i = 0; i < shared.size(); ++i) {
+      SCOPED_TRACE("node " + std::to_string(i));
+      expect_same_bits(shared[i]->demand().cpu_w, per_node[i]->demand().cpu_w);
+      expect_same_bits(shared[i]->demand().gpu_w, per_node[i]->demand().gpu_w);
+      EXPECT_EQ(bits(shared[i]->demand().mem_w),
+                bits(per_node[i]->demand().mem_w));
+      EXPECT_TRUE(hwsim::same_bits(shared[i]->grants(), per_node[i]->grants()));
+    }
+  }
+  EXPECT_GT(steps, 20);
+  EXPECT_DOUBLE_EQ(rt.work_done(), profile.total_work());
+}
+
+using Owned = std::vector<std::unique_ptr<hwsim::Node>>;
+
+hwsim::Node* add_lassen(sim::Simulation& sim, Owned& owned,
+                        const std::string& name) {
+  owned.push_back(std::make_unique<hwsim::IbmAc922Node>(sim, name));
+  return owned.back().get();
+}
+
+TEST(SharedAppStep, IdenticalNodesMatchPerNodeSteps) {
+  expect_runtime_matches_per_node_reference(
+      [](sim::Simulation& sim, Owned& owned, const std::string& tag) {
+        std::vector<hwsim::Node*> nodes;
+        for (int i = 0; i < 4; ++i) {
+          nodes.push_back(add_lassen(sim, owned, tag + std::to_string(i)));
+          variorum::cap_each_gpu_power_limit(*nodes.back(), 200.0);
+        }
+        return nodes;
+      });
+}
+
+TEST(SharedAppStep, OneNodeCappedLowerSetsTheSpeed) {
+  // The lower cap sits between equal neighbours, so a speed reused from
+  // the node before it would skip the slowest rank.
+  expect_runtime_matches_per_node_reference(
+      [](sim::Simulation& sim, Owned& owned, const std::string& tag) {
+        std::vector<hwsim::Node*> nodes;
+        for (int i = 0; i < 4; ++i) {
+          nodes.push_back(add_lassen(sim, owned, tag + std::to_string(i)));
+          variorum::cap_each_gpu_power_limit(*nodes.back(),
+                                             i == 2 ? 110.0 : 230.0);
+        }
+        return nodes;
+      });
+}
+
+TEST(SharedAppStep, MixedPlatformsKeepTheirOwnFloors) {
+  // Lassen and a 4-GPU Xeon have the same device counts but different idle
+  // floors; Grace has no GPUs and Tioga eight GCDs. A demand or want reused
+  // across any two of them would land on the wrong node.
+  expect_runtime_matches_per_node_reference(
+      [](sim::Simulation& sim, Owned& owned, const std::string& tag) {
+        std::vector<hwsim::Node*> nodes;
+        nodes.push_back(add_lassen(sim, owned, tag + "0"));
+        hwsim::IntelXeonConfig xeon;
+        xeon.gpus = 4;
+        owned.push_back(
+            std::make_unique<hwsim::IntelXeonNode>(sim, tag + "1", xeon));
+        nodes.push_back(owned.back().get());
+        nodes.push_back(add_lassen(sim, owned, tag + "2"));
+        variorum::cap_each_gpu_power_limit(*nodes.back(), 120.0);
+        owned.push_back(std::make_unique<hwsim::ArmGraceNode>(sim, tag + "3"));
+        nodes.push_back(owned.back().get());
+        owned.push_back(
+            std::make_unique<hwsim::CrayEx235aNode>(sim, tag + "4"));
+        nodes.push_back(owned.back().get());
+        nodes.push_back(add_lassen(sim, owned, tag + "5"));
+        return nodes;
+      });
 }
 
 }  // namespace

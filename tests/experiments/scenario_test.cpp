@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 namespace fluxpower::experiments {
 namespace {
 
@@ -41,6 +45,30 @@ TEST(Scenario, RunTwiceThrows) {
   s.submit(r);
   s.run();
   EXPECT_THROW(s.run(), std::logic_error);
+}
+
+TEST(Scenario, NonFiniteAppStepIsRejected) {
+  // A NaN step used to reach the engine as a NaN event time, and an
+  // infinite one finished the job in a single step.
+  for (double step : {std::numeric_limits<double>::quiet_NaN(),
+                      std::numeric_limits<double>::infinity()}) {
+    ScenarioConfig cfg;
+    cfg.nodes = 2;
+    cfg.app_step_s = step;
+    Scenario s(cfg);
+    JobRequest r;
+    r.kind = AppKind::Gemm;
+    r.nnodes = 2;
+    s.submit(r);
+    try {
+      s.run();
+      ADD_FAILURE() << "app_step_s " << step << " ran";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("AppRuntime: step"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Scenario, ExactAndTelemetryEnergyAgree) {

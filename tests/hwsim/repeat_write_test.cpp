@@ -1,13 +1,15 @@
 // Tests for repeated demand and cap writes. A write whose input is already
 // in force, bit for bit, skips re-deriving the grants but still ticks the
 // energy meter, so energy and grants read exactly as if every write had
-// recomputed them.
+// recomputed them. The node stores its draw when it derives the grants;
+// node_draw_w() and every meter tick must read exactly their sum.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -37,6 +39,11 @@ void expect_same_grants(const Grants& a, const Grants& b) {
   expect_same_bits(a.gpu_w, b.gpu_w);
   EXPECT_EQ(bits(a.mem_w), bits(b.mem_w));
   EXPECT_EQ(bits(a.base_w), bits(b.base_w));
+}
+
+// The stored draw is the sum of the grants in force, bit for bit.
+void expect_draw_is_grant_sum(const Node& node) {
+  EXPECT_EQ(bits(node.node_draw_w()), bits(node.grants().total()));
 }
 
 LoadDemand demand(FixedWattsVec<kMaxSockets> cpu,
@@ -75,14 +82,14 @@ void apply(Node& node, const Step& s) {
 
 // Applies every step to `node`, one per sim instant, and only the steps
 // that change their slot's input to `distinct`. After each step, `node`'s
-// energy must equal, bit for bit, an EnergyMeter fed its draw at the
-// instant the write reached the hardware (a write `settle_s` > 0 stores
-// late through the firmware-latency path), and both nodes must hold the
-// same grants.
+// energy must equal, bit for bit, an EnergyMeter fed the sum of its grants
+// at the instant the write reached the hardware (a write `settle_s` > 0
+// stores late through the firmware-latency path), both nodes must hold the
+// same grants, and each node's draw must be its grant sum.
 void run_script(sim::Simulation& sim, Node& node, Node& distinct,
                 const std::vector<Step>& steps, double settle_s = 0.0) {
   EnergyMeter reference;
-  reference.update(sim.now(), node.node_draw_w());
+  reference.update(sim.now(), node.grants().total());
   // Last input per slot: the demand, each GPU and socket cap, the node cap.
   std::map<std::pair<int, int>, Step> last;
   double t = sim.now();
@@ -107,9 +114,11 @@ void run_script(sim::Simulation& sim, Node& node, Node& distinct,
     const bool delayed = settle_s > 0.0 && (s.kind == Step::Kind::Gpu ||
                                             s.kind == Step::Kind::NodeCap);
     if (delayed) sim.run_until(t + settle_s);
-    reference.update(sim.now(), node.node_draw_w());
+    reference.update(sim.now(), node.grants().total());
     EXPECT_EQ(bits(node.energy_joules()), bits(reference.joules(sim.now())));
     expect_same_grants(node.grants(), distinct.grants());
+    expect_draw_is_grant_sum(node);
+    expect_draw_is_grant_sum(distinct);
     t = sim.now();
   }
 }
@@ -359,6 +368,90 @@ TEST(RepeatWrites, Ac922WriteAtTheWedgedMaximumUnwedges) {
   EXPECT_FALSE(node.gpu_cap_wedged(0));
   expect_same_grants(node.grants(), never_wedged.grants());
   EXPECT_EQ(node.node_draw_w(), never_wedged.node_draw_w());
+}
+
+// ---------------------------------------------------------------------------
+// The stored draw
+// ---------------------------------------------------------------------------
+
+TEST(CachedDraw, Ac922WedgeFlipsKeepTheDrawTheGrantSum) {
+  IbmAc922Config cfg;
+  cfg.nvml_failure_rate = 1.0;  // every GPU write fails below 1200 W
+  sim::Simulation sim;
+  IbmAc922Node node(sim, "lassen0", cfg);
+  node.set_demand(demand({150.0, 150.0}, {280.0, 280.0, 280.0, 280.0}, 90.0));
+  node.set_node_power_cap(1100.0);
+  expect_draw_is_grant_sum(node);
+  for (int i = 0; i < 64 && !node.gpu_cap_wedged(1); ++i) {
+    node.set_gpu_power_cap(1, 150.0);
+    expect_draw_is_grant_sum(node);
+  }
+  ASSERT_TRUE(node.gpu_cap_wedged(1));
+  sim.run_until(1.0);
+  node.set_node_power_cap(1800.0);  // the wedged GPU escapes the limit
+  expect_draw_is_grant_sum(node);
+  ASSERT_TRUE(node.set_gpu_power_cap(1, cfg.gpu_max_w).ok());  // un-wedges
+  ASSERT_FALSE(node.gpu_cap_wedged(1));
+  expect_draw_is_grant_sum(node);
+}
+
+// One node of each vendor: 0 AC922, 1 EX235a, 2 Grace, 3 Xeon.
+std::unique_ptr<Node> make_vendor_node(sim::Simulation& sim, int vendor) {
+  switch (vendor) {
+    case 0: return std::make_unique<IbmAc922Node>(sim, "lassen0");
+    case 1: {
+      CrayEx235aConfig tioga;
+      tioga.capping_enabled_for_users = true;
+      return std::make_unique<CrayEx235aNode>(sim, "tioga0", tioga);
+    }
+    case 2: return std::make_unique<ArmGraceNode>(sim, "grace0");
+    default: {
+      IntelXeonConfig xeon;
+      xeon.gpus = 2;
+      return std::make_unique<IntelXeonNode>(sim, "xeon0", xeon);
+    }
+  }
+}
+
+// Low power on and off and idle() on every vendor, each after a load that
+// moves the draw, with the energy integral checked against a reference
+// meter fed the grant sum at every refresh.
+TEST(CachedDraw, LowPowerAndIdleKeepTheDrawTheGrantSum) {
+  for (int vendor = 0; vendor < 4; ++vendor) {
+    sim::Simulation sim;
+    const std::unique_ptr<Node> owned = make_vendor_node(sim, vendor);
+    Node& node = *owned;
+    SCOPED_TRACE(node.vendor_name());
+    LoadDemand busy;
+    busy.cpu_w.assign(static_cast<std::size_t>(node.socket_count()), 211.3);
+    busy.gpu_w.assign(node.idle_demand().gpu_w.size(), 233.7);
+    busy.mem_w = 77.9;
+    EnergyMeter reference;
+    reference.update(sim.now(), node.grants().total());
+    double t = sim.now();
+    auto check = [&] {
+      reference.update(sim.now(), node.grants().total());
+      EXPECT_EQ(bits(node.energy_joules()), bits(reference.joules(sim.now())));
+      expect_draw_is_grant_sum(node);
+      sim.run_until(t += 0.913);
+    };
+    node.set_demand(busy);
+    check();
+    node.set_low_power_state(true);
+    check();
+    node.set_demand(busy);  // repeated: the meter ticks, nothing else
+    check();
+    node.idle();
+    check();
+    const double parked = node.node_draw_w();
+    node.set_low_power_state(false);
+    check();
+    EXPECT_GT(node.node_draw_w(), parked);
+    node.set_demand(busy);
+    check();
+    node.idle();
+    check();
+  }
 }
 
 }  // namespace

@@ -409,6 +409,64 @@ TEST(ZeroAlloc, SynchronizedSweepsHoldAConstantHeap) {
   EXPECT_EQ(news_after - news_before, 0u);
 }
 
+// Drained storage is recycled by size class: a bucket that receives its
+// first entry or fills up takes the smallest recycled vector larger than
+// its own. Events are scheduled at t >= 10 s, in buckets no earlier event
+// touched, and no scheduling below allocates: the slot pool's first chunk
+// holds every event, and each vector comes off the free lists.
+void schedule_burst(Simulation& sim, double t, int n, int& fired) {
+  for (int i = 0; i < n; ++i) sim.schedule_at(t, [&fired] { ++fired; });
+}
+
+TEST(FreeRuns, FillingBucketTakesTheSmallestLargerRecycledVector) {
+  Simulation sim;
+  int fired = 0;
+  // Bursts of 64, 4 and 16 entries in three buckets, then one entry: each
+  // drain hands the spent ready run to the free lists, leaving vectors of
+  // capacity 64, 4 and 16 there.
+  schedule_burst(sim, 1.0, 64, fired);
+  schedule_burst(sim, 2.0, 4, fired);
+  schedule_burst(sim, 3.0, 16, fired);
+  schedule_burst(sim, 4.0, 1, fired);
+  sim.run();
+  ASSERT_EQ(fired, 85);
+
+  const std::uint64_t news_before = test::heap_allocations();
+  // One periodic-style entry takes the 4; a burst of 64 then grows through
+  // the 16 into the 64 instead of allocating. Had the single entry taken
+  // the 64, the burst would outgrow the 16 and allocate.
+  schedule_burst(sim, 10.0, 1, fired);
+  schedule_burst(sim, 11.0, 64, fired);
+  EXPECT_EQ(test::heap_allocations() - news_before, 0u);
+  sim.run();
+  EXPECT_EQ(fired, 85 + 65);
+}
+
+TEST(FreeRuns, BurstFindsTheVectorAnEarlierBurstLeftBehind) {
+  Simulation sim;
+  int fired = 0;
+  // A burst of 100 (a 128-entry vector) and four single entries: a ready
+  // run's storage reaches the free lists when the next bucket drains, so
+  // they end with the burst's vector and three 1-entry ones.
+  schedule_burst(sim, 1.0, 100, fired);
+  for (int i = 0; i < 4; ++i) schedule_burst(sim, 2.0 + i, 1, fired);
+  sim.run();
+  ASSERT_EQ(fired, 104);
+
+  const std::uint64_t news_before = test::heap_allocations();
+  for (int round = 0; round < 3; ++round) {
+    // Lone entries before and after the burst take the small vectors, so
+    // each burst finds the one the last burst left behind.
+    const double t = 10.0 + 5.0 * round;
+    schedule_burst(sim, t, 1, fired);
+    schedule_burst(sim, t + 1.0, 100, fired);
+    schedule_burst(sim, t + 2.0, 1, fired);
+    sim.run();
+  }
+  EXPECT_EQ(test::heap_allocations() - news_before, 0u);
+  EXPECT_EQ(fired, 104 + 3 * 102);
+}
+
 TEST(ZeroAlloc, RearmFiredReusesSlotAndInvalidatesOldId) {
   Simulation sim;
   int fires = 0;

@@ -7,6 +7,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "experiments/site_ops.hpp"
 #include "manager/site_policy.hpp"
@@ -216,6 +219,24 @@ TEST(SiteOps, Validation) {
   SiteOpsConfig unknown;
   unknown.site_policy = "nope";
   EXPECT_THROW(run_site_ops(unknown), std::invalid_argument);
+}
+
+TEST(SiteOps, NonFiniteAppStepIsRejected) {
+  for (double step : {std::numeric_limits<double>::quiet_NaN(),
+                      std::numeric_limits<double>::infinity()}) {
+    SiteOpsConfig cfg;
+    cfg.workload.duration_s = 6.0 * kHour;
+    cfg.workload.jobs_per_hour_peak = 10.0;
+    cfg.app_step_s = step;
+    try {
+      run_site_ops(cfg);
+      ADD_FAILURE() << "app_step_s " << step << " ran";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("AppRuntime: step"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

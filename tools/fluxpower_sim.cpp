@@ -11,7 +11,6 @@
 //
 // Job syntax: app:nnodes[:work_scale[:submit_time_s]] with app one of
 // lammps, gemm, quicksilver, laghos, nqueens.
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -24,14 +23,13 @@
 #include "experiments/report.hpp"
 #include "experiments/scenario.hpp"
 #include "flux/hostlist.hpp"
+#include "parse_number.hpp"
 #include "util/table.hpp"
 
 using namespace fluxpower;
 using namespace fluxpower::experiments;
 
-namespace {
-
-[[noreturn]] void usage(const char* argv0, const std::string& error = "") {
+[[noreturn]] void tools::usage(const char* argv0, const std::string& error) {
   if (!error.empty()) std::fprintf(stderr, "error: %s\n\n", error.c_str());
   std::fprintf(stderr,
                "usage: %s [options] --job app:nnodes[:scale[:t0]] [--job ...]\n"
@@ -53,26 +51,17 @@ namespace {
   std::exit(2);
 }
 
+namespace {
+
+using tools::parse_number;
+using tools::usage;
+
 hwsim::Platform parse_platform(const std::string& s, const char* argv0) {
   if (s == "lassen") return hwsim::Platform::LassenIbmAc922;
   if (s == "tioga") return hwsim::Platform::TiogaCrayEx235a;
   if (s == "intel") return hwsim::Platform::GenericIntelXeon;
   if (s == "arm") return hwsim::Platform::GenericArmGrace;
   usage(argv0, "unknown platform " + s);
-}
-
-/// The whole of `value` as a T. No digits, trailing text or a value out of
-/// T's range is a usage error naming the option.
-template <typename T>
-T parse_number(const std::string& option, const std::string& value,
-               const char* argv0) {
-  T number{};
-  const char* end = value.data() + value.size();
-  const auto [stop, ec] = std::from_chars(value.data(), end, number);
-  if (ec != std::errc() || stop != end) {
-    usage(argv0, "bad " + option + " value '" + value + "'");
-  }
-  return number;
 }
 
 JobRequest parse_job(const std::string& spec, const char* argv0) {
@@ -90,11 +79,16 @@ JobRequest parse_job(const std::string& spec, const char* argv0) {
   }
   try {
     req.kind = apps::app_kind_from_name(parts[0]);
-    req.nnodes = std::stoi(parts[1]);
-    if (parts.size() >= 3) req.work_scale = std::stod(parts[2]);
-    if (parts.size() >= 4) req.submit_time_s = std::stod(parts[3]);
   } catch (const std::exception& e) {
     usage(argv0, "bad --job spec '" + spec + "': " + e.what());
+  }
+  req.nnodes = parse_number<int>("--job nnodes", parts[1], argv0);
+  if (parts.size() >= 3) {
+    req.work_scale = parse_number<double>("--job work_scale", parts[2], argv0);
+  }
+  if (parts.size() >= 4) {
+    req.submit_time_s =
+        parse_number<double>("--job submit time", parts[3], argv0);
   }
   return req;
 }

@@ -13,10 +13,10 @@
 // exposed metrics alone: samples == evicted + size + sensor_failures,
 // summed over every node. Exit status 1 on violation — CI runs this.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 
@@ -24,10 +24,25 @@
 #include "obs/metrics.hpp"
 #include "obs/sim_metrics.hpp"
 #include "obs/trace.hpp"
+#include "parse_number.hpp"
+
+using namespace fluxpower;
+
+[[noreturn]] void tools::usage(const char* argv0, const std::string& error) {
+  if (!error.empty()) std::fprintf(stderr, "error: %s\n\n", error.c_str());
+  std::fprintf(
+      stderr,
+      "usage: %s [--nodes N] [--fanout F] [--platform lassen|tioga]\n"
+      "          [--seconds S] [--seed N] [--shards N] [--metrics PATH]\n"
+      "          [--trace PATH] [--check-ledger] [--faults]\n",
+      argv0);
+  std::exit(2);
+}
 
 namespace {
 
-using namespace fluxpower;
+using tools::parse_number;
+using tools::usage;
 
 struct Options {
   int nodes = 16;
@@ -42,57 +57,55 @@ struct Options {
   bool faults = false;
 };
 
-void usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [--nodes N] [--fanout F] [--platform lassen|tioga]\n"
-      "          [--seconds S] [--seed N] [--shards N] [--metrics PATH]\n"
-      "          [--trace PATH] [--check-ledger] [--faults]\n",
-      argv0);
-}
-
-bool parse_args(int argc, char** argv, Options& opt) {
+Options parse_args(int argc, char** argv) {
+  Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
+    auto next = [&]() -> std::string {
+      if (i + 1 >= argc) usage(argv[0], arg + " needs a value");
+      return argv[++i];
+    };
+    auto number = [&]<typename T>(T& out) {
+      out = parse_number<T>(arg, next(), argv[0]);
     };
     if (arg == "--nodes") {
-      if (const char* v = next()) opt.nodes = std::atoi(v); else return false;
+      number(opt.nodes);
     } else if (arg == "--fanout") {
-      if (const char* v = next()) opt.fanout = std::atoi(v); else return false;
+      number(opt.fanout);
     } else if (arg == "--platform") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      if (std::strcmp(v, "lassen") == 0) {
+      const std::string v = next();
+      if (v == "lassen") {
         opt.platform = hwsim::Platform::LassenIbmAc922;
-      } else if (std::strcmp(v, "tioga") == 0) {
+      } else if (v == "tioga") {
         opt.platform = hwsim::Platform::TiogaCrayEx235a;
       } else {
-        return false;
+        usage(argv[0], "unknown platform " + v);
       }
     } else if (arg == "--seconds") {
-      if (const char* v = next()) opt.seconds = std::atof(v); else return false;
+      number(opt.seconds);
     } else if (arg == "--seed") {
-      if (const char* v = next()) opt.seed = std::strtoull(v, nullptr, 10);
-      else return false;
+      number(opt.seed);
     } else if (arg == "--shards") {
-      if (const char* v = next()) opt.shards = std::atoi(v); else return false;
+      number(opt.shards);
     } else if (arg == "--metrics") {
-      if (const char* v = next()) opt.metrics_path = v; else return false;
+      opt.metrics_path = next();
     } else if (arg == "--trace") {
-      if (const char* v = next()) opt.trace_path = v; else return false;
+      opt.trace_path = next();
     } else if (arg == "--check-ledger") {
       opt.check_ledger = true;
     } else if (arg == "--faults") {
       opt.faults = true;
     } else {
-      usage(argv[0]);
-      return false;
+      usage(argv[0], "unknown option " + arg);
     }
   }
-  return opt.nodes > 0 && opt.fanout > 1 && opt.seconds > 0.0 &&
-         opt.shards >= 0;
+  if (opt.nodes <= 0) usage(argv[0], "--nodes must be positive");
+  if (opt.fanout <= 1) usage(argv[0], "--fanout must be at least 2");
+  if (!(opt.seconds > 0.0) || !std::isfinite(opt.seconds)) {
+    usage(argv[0], "--seconds must be positive and finite");
+  }
+  if (opt.shards < 0) usage(argv[0], "--shards must not be negative");
+  return opt;
 }
 
 bool write_file(const std::string& path, const std::string& content) {
@@ -109,11 +122,7 @@ bool write_file(const std::string& path, const std::string& content) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt;
-  if (!parse_args(argc, argv, opt)) {
-    usage(argv[0]);
-    return 2;
-  }
+  const Options opt = parse_args(argc, argv);
 
   obs::process_trace().set_enabled(true);
 

@@ -24,13 +24,12 @@
 #include <string>
 #include <vector>
 
+#include "parse_number.hpp"
 #include "twin/server.hpp"
 
 using namespace fluxpower;
 
-namespace {
-
-[[noreturn]] void usage(const char* argv0, const std::string& error = "") {
+[[noreturn]] void tools::usage(const char* argv0, const std::string& error) {
   if (!error.empty()) std::fprintf(stderr, "error: %s\n\n", error.c_str());
   std::fprintf(stderr,
                "usage: %s [options] --job app:nnodes[:scale[:t0]] "
@@ -49,6 +48,11 @@ namespace {
                argv0);
   std::exit(2);
 }
+
+namespace {
+
+using tools::parse_number;
+using tools::usage;
 
 apps::AppKind parse_app(const std::string& s, const char* argv0) {
   if (s == "lammps") return apps::AppKind::Lammps;
@@ -72,9 +76,14 @@ experiments::JobRequest parse_job(const std::string& spec, const char* argv0) {
   }
   if (parts.size() < 2 || parts.size() > 4) usage(argv0, "bad job " + spec);
   req.kind = parse_app(parts[0], argv0);
-  req.nnodes = std::atoi(parts[1].c_str());
-  if (parts.size() > 2) req.work_scale = std::atof(parts[2].c_str());
-  if (parts.size() > 3) req.submit_time_s = std::atof(parts[3].c_str());
+  req.nnodes = parse_number<int>("--job nnodes", parts[1], argv0);
+  if (parts.size() > 2) {
+    req.work_scale = parse_number<double>("--job work_scale", parts[2], argv0);
+  }
+  if (parts.size() > 3) {
+    req.submit_time_s =
+        parse_number<double>("--job submit time", parts[3], argv0);
+  }
   if (req.nnodes <= 0) usage(argv0, "bad nnodes in " + spec);
   if (!(req.work_scale > 0.0) || !std::isfinite(req.work_scale)) {
     usage(argv0, "work_scale must be positive and finite in " + spec);
@@ -100,16 +109,17 @@ twin::WhatIfQuery parse_what_if(const std::string& spec, const char* argv0) {
   twin::Perturbation p;
   if (kind == "budget") {
     p.kind = twin::Perturbation::Kind::BudgetScale;
-    p.value = std::atof(value.c_str());
+    p.value = parse_number<double>("what-if factor", value, argv0);
   } else if (kind == "budget-w") {
     p.kind = twin::Perturbation::Kind::BudgetSet;
-    p.value = std::atof(value.c_str());
+    p.value = parse_number<double>("what-if watts", value, argv0);
   } else if (kind == "kill") {
     p.kind = twin::Perturbation::Kind::NodeKill;
-    p.rank = std::atoi(value.c_str());
+    p.rank = parse_number<int>("what-if rank", value, argv0);
     const std::size_t colon = when.find(':');
     if (colon != std::string::npos) {
-      p.down_s = std::atof(when.substr(colon + 1).c_str());
+      p.down_s = parse_number<double>("what-if down time",
+                                      when.substr(colon + 1), argv0);
       when.resize(colon);
     } else {
       p.down_s = 60.0;
@@ -117,7 +127,7 @@ twin::WhatIfQuery parse_what_if(const std::string& spec, const char* argv0) {
   } else {
     usage(argv0, "unknown what-if kind " + kind);
   }
-  p.at_s = std::atof(when.c_str());
+  p.at_s = parse_number<double>("what-if time", when, argv0);
   q.perturbations.push_back(p);
   return q;
 }
@@ -141,19 +151,22 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0], arg + " needs a value");
       return argv[++i];
     };
+    auto number = [&]<typename T>(T& out) {
+      out = parse_number<T>(arg, next(), argv[0]);
+    };
     if (arg == "--nodes") {
-      spec.scenario.nodes = std::atoi(next().c_str());
+      number(spec.scenario.nodes);
     } else if (arg == "--bound") {
-      spec.scenario.manager.cluster_power_bound_w = std::atof(next().c_str());
+      number(spec.scenario.manager.cluster_power_bound_w);
     } else if (arg == "--snapshot-at") {
-      snapshot_at = std::atof(next().c_str());
+      number(snapshot_at);
     } else if (arg == "--max-time") {
-      spec.max_time_s = std::atof(next().c_str());
+      number(spec.max_time_s);
     } else if (arg == "--workers") {
-      workers = std::atoi(next().c_str());
+      number(workers);
     } else if (arg == "--chaos-seed") {
       faultsim::FaultPlaneConfig f;
-      f.seed = static_cast<std::uint64_t>(std::atoll(next().c_str()));
+      number(f.seed);
       f.msg_drop_rate = 0.05;
       f.node_mtbf_s = 400.0;
       f.node_reboot_s = 20.0;
