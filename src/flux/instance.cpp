@@ -26,7 +26,22 @@ struct SweepBatch {
   std::size_t live = 0;   ///< non-null members
   std::size_t index = 0;  ///< position in its SweepTable
   bool firing = false;
+  std::shared_ptr<SweepShared> shared = nullptr;  ///< see SweepMember
 };
+
+std::size_t SweepMember::sweep_size() const noexcept {
+  return batch_ != nullptr ? batch_->members.size() : 0;
+}
+
+const std::shared_ptr<SweepShared>& SweepMember::sweep_shared() const noexcept {
+  static const std::shared_ptr<SweepShared> none;
+  return batch_ != nullptr ? batch_->shared : none;
+}
+
+void SweepMember::set_sweep_shared(
+    std::shared_ptr<SweepShared> shared) noexcept {
+  if (batch_ != nullptr) batch_->shared = std::move(shared);
+}
 
 Instance::Instance(sim::Simulation& sim, std::vector<hwsim::Node*> nodes,
                    InstanceConfig config)
@@ -259,7 +274,7 @@ void Instance::join_sweep(Rank rank, double period_s, SweepMember& member) {
 void Instance::leave_sweep(SweepMember& member) {
   SweepBatch* batch = std::exchange(member.batch_, nullptr);
   if (batch == nullptr) return;
-  batch->members[member.slot_] = nullptr;
+  batch->members[std::exchange(member.slot_, 0)] = nullptr;
   if (--batch->live == 0 && !batch->firing) retire_sweep(*batch);
 }
 
@@ -296,13 +311,19 @@ void Instance::fire_sweep(SweepBatch& batch) {
     members.resize(n);
   }
   // At site scale every member's state is a cache miss. Two members ahead
-  // of the one sampled, fetch the member itself; one ahead, let it fetch
-  // its node, ring row and instruments.
+  // of the one sampled, fetch the member itself, the first kMemberBytes of
+  // it (the monitor's node-agent keeps its node pointer, ring header,
+  // instruments and config there); one ahead, let it fetch its node, ring
+  // row and instruments.
   constexpr std::size_t kAhead = 4;
+  constexpr std::size_t kMemberBytes = 256;
   batch.firing = true;
   const std::size_t n = members.size();
   for (std::size_t i = 0; i < n; ++i) {
-    if (i + 2 * kAhead < n) util::prefetch(members[i + 2 * kAhead]);
+    if (i + 2 * kAhead < n && members[i + 2 * kAhead] != nullptr) {
+      const auto* m = reinterpret_cast<const char*>(members[i + 2 * kAhead]);
+      for (std::size_t b = 0; b < kMemberBytes; b += 64) util::prefetch(m + b);
+    }
     if (i + kAhead < n && members[i + kAhead] != nullptr) {
       members[i + kAhead]->prefetch_sample();
     }

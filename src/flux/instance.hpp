@@ -9,6 +9,7 @@
 // agents and instant (join_sweep).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -30,6 +31,14 @@ namespace fluxpower::flux {
 
 struct SweepBatch;
 
+/// State the members of one sweep batch share: the monitor keeps its sample
+/// table in one, so a sweep writes its members' rows as one run. The batch
+/// holds it until it retires; a member may hold it longer.
+class SweepShared {
+ public:
+  virtual ~SweepShared() = default;
+};
+
 /// A node-agent that samples its node on a fixed grid as a member of its
 /// instance's sweeps (Instance::join_sweep). The monitor's node-agent is
 /// one. Only the instance calls the hooks.
@@ -39,6 +48,18 @@ class SweepMember {
   ~SweepMember() = default;
   SweepMember(const SweepMember&) = delete;
   SweepMember& operator=(const SweepMember&) = delete;
+
+  /// This member's position in its batch's join order and the batch's
+  /// member count; both 0 while not sampling. A sweep closes the gaps
+  /// members left before it samples anyone, so inside take_sample() the
+  /// positions are exactly 0 .. sweep_size() - 1.
+  std::size_t sweep_position() const noexcept { return slot_; }
+  std::size_t sweep_size() const noexcept;
+  /// The batch's shared state: null while not sampling, and until a member
+  /// of the batch sets it.
+  const std::shared_ptr<SweepShared>& sweep_shared() const noexcept;
+  /// Give the batch its shared state; ignored while not sampling.
+  void set_sweep_shared(std::shared_ptr<SweepShared> shared) noexcept;
 
  private:
   friend class Instance;

@@ -27,6 +27,19 @@ constexpr std::array<double, 8> kSweepDurationBounds = {
 constexpr std::array<double, 11> kBatchNodesBounds = {
     1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024};
 
+/// The sample table of one sweep batch: the batch keeps it while it lives
+/// and each store with a column in it keeps it too.
+struct BatchTable final : flux::SweepShared, SampleTable {
+  using SampleTable::SampleTable;
+};
+
+/// Longest ring that takes a column of its batch's table. A window read
+/// walks one column, and once a table slot spans a memory page (47 Lassen
+/// columns) each sample it reads is a page of its own; a query window can
+/// be as long as the ring, so a longer ring keeps its rows in a table of
+/// its own, one after another.
+constexpr std::size_t kMaxSharedSlots = 1024;
+
 /// Copy the in-window samples of a store into `entry`, decimating
 /// uniformly when the requester bounded the transfer.
 void fill_windowed_samples(const ColumnarSampleStore& store, double start,
@@ -53,10 +66,7 @@ void fill_windowed_samples(const ColumnarSampleStore& store, double start,
       entry.samples.push_back(store.get(lo + std::min(idx, in_window - 1)));
     }
   } else {
-    entry.samples.reserve(in_window);
-    for (std::size_t i = lo; i < hi; ++i) {
-      entry.samples.push_back(store.get(i));
-    }
+    store.append_range(lo, hi, entry.samples);
   }
 }
 
@@ -90,7 +100,7 @@ PowerMonitorModule::~PowerMonitorModule() = default;
 void PowerMonitorModule::load(flux::Broker& broker) {
   broker_ = &broker;
   node_ = broker.node();
-  buffer_ = std::make_unique<ColumnarSampleStore>(config_.buffer_capacity);
+  buffer_.emplace(config_.buffer_capacity);
 
   // Bind instruments in the broker registry. Counters are reset so a
   // reloaded module starts a fresh ledger — the semantics the plain
@@ -195,7 +205,7 @@ void PowerMonitorModule::unload() {
 }
 
 void PowerMonitorModule::refresh_gauges() {
-  if (buffer_ == nullptr || buffer_fill_ratio_ == nullptr) return;
+  if (!buffer_ || buffer_fill_ratio_ == nullptr) return;
   buffer_fill_ratio_->set(static_cast<double>(buffer_->size()) /
                           static_cast<double>(buffer_->capacity()));
   buffer_size_->set(static_cast<double>(buffer_->size()));
@@ -208,6 +218,25 @@ void PowerMonitorModule::prefetch_sample() const noexcept {
   buffer_->prefetch_push();
   util::prefetch_write(samples_total_);
   util::prefetch_write(sweep_duration_);
+}
+
+void PowerMonitorModule::join_batch_table(const hwsim::PowerSample& first) {
+  // The batch's first member to store a sample lays the table out; every
+  // member then takes the column of its position, so a sweep walks the
+  // columns in order. A store the table cannot hold (another capacity, a
+  // late joiner, a ring over kMaxSharedSlots) gets a one-column table of
+  // its own at its first push.
+  if (buffer_->capacity() > kMaxSharedSlots) return;
+  const std::shared_ptr<flux::SweepShared>& shared = sweep_shared();
+  std::shared_ptr<BatchTable> table = std::dynamic_pointer_cast<BatchTable>(shared);
+  if (table == nullptr) {
+    if (shared != nullptr || sweep_size() == 0) return;
+    table = std::make_shared<BatchTable>(sweep_size(), buffer_->capacity(),
+                                         first.cpu_w.size(),
+                                         first.gpu_w.size());
+    set_sweep_shared(table);
+  }
+  buffer_->attach(std::move(table), sweep_position());
 }
 
 void PowerMonitorModule::take_sample() {
@@ -238,6 +267,7 @@ void PowerMonitorModule::take_sample() {
     event["sample"] = variorum::render_node_power_json(s);
     broker_->publish_event("power-monitor.sample", std::move(event));
   }
+  if (buffer_->table() == nullptr) [[unlikely]] join_batch_table(s);
   buffer_->push(s);
 }
 
@@ -548,14 +578,15 @@ void PowerMonitorModule::handle_set_config(const Message& req) {
       req.payload.bool_or("stream_samples", config_.stream_samples);
   if (capacity != config_.buffer_capacity) {
     config_.buffer_capacity = capacity;
-    auto replacement = std::make_unique<ColumnarSampleStore>(capacity);
-    // The retained samples are discarded by the reallocation, so the new
-    // buffer must account them (and the old buffer's own evictions) as
-    // evicted — otherwise completeness reporting resets and a job window
-    // that straddles the reconfiguration reads as complete when samples
-    // were in fact lost.
-    replacement->inherit_lifetime(buffer_->total_pushed());
-    buffer_ = std::move(replacement);
+    // The retained samples are discarded with the old ring, so the new one
+    // must account them (and the old ring's own evictions) as evicted —
+    // otherwise completeness reporting resets and a job window that
+    // straddles the reconfiguration reads as complete when samples were in
+    // fact lost. The old ring's column goes back to its table; the new ring
+    // takes a column at its first sample (see join_batch_table).
+    const std::uint64_t pushed = buffer_->total_pushed();
+    buffer_.emplace(capacity);
+    buffer_->inherit_lifetime(pushed);
   }
   if (period != config_.sample_period_s) {
     // Leave the old grid's batch for one on the new grid from now.

@@ -12,9 +12,11 @@
 //     circular buffer flushed samples inside the job's window, the dataset
 //     is reported as partial.
 //
-// The buffer is a row-packed ring: one row per sweep, holding the
-// timestamp, the per-domain watts and presence flags (see sample_store.hpp),
-// so window lookups are binary searches over the timestamps. Samples
+// The buffer is a ring of rows, one per sweep, holding the timestamp, the
+// per-domain watts and presence flags (see sample_store.hpp), so window
+// lookups are binary searches over the timestamps. The node-agents of one
+// sweep batch keep their rings as the columns of one slot-major table, so a
+// sweep writes their rows as one contiguous run. Samples
 // materialize back to `hwsim::PowerSample` once, into the node-agent's
 // answer, and the TBON subtree merge ships the entries by pointer.
 // Every telemetry answer is a typed batch; JSON is rendered only at the
@@ -29,6 +31,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "flux/broker.hpp"
 #include "flux/instance.hpp"
@@ -123,13 +126,19 @@ class PowerMonitorModule final : public flux::SweepMember,
 
   // -- Twin-codec introspection ---------------------------------------------
   /// The node-agent's sample ring (null before load()).
-  const ColumnarSampleStore* store() const noexcept { return buffer_.get(); }
+  const ColumnarSampleStore* store() const noexcept {
+    return buffer_ ? &*buffer_ : nullptr;
+  }
 
  private:
   /// One sensor sweep into the ring; the instance's sweep batch calls it
   /// every sample_period_s.
   void take_sample() override;
   void prefetch_sample() const noexcept override;
+  /// Give the ring, before its first sample, a column of its sweep batch's
+  /// table, laying the table out (one column per member, shaped for
+  /// `first`) when the batch has none yet.
+  void join_batch_table(const hwsim::PowerSample& first);
   void handle_get_data(const flux::Message& req);
   void handle_get_subtree(const flux::Message& req);
   void handle_query_job(const flux::Message& req);
@@ -145,18 +154,21 @@ class PowerMonitorModule final : public flux::SweepMember,
   /// before any exposition so gauges are never stale.
   void refresh_gauges();
 
-  PowerMonitorConfig config_;
-  flux::Broker* broker_ = nullptr;
+  // What a sweep reads comes first: the node, the ring's header (inline, so
+  // the sweep's prefetch reaches the next row without first loading the
+  // header), the sweep's instruments and the config.
   hwsim::Node* node_ = nullptr;  ///< the broker's node, read every sweep
-  std::unique_ptr<ColumnarSampleStore> buffer_;
+  std::optional<ColumnarSampleStore> buffer_;
   // Instruments in the owning broker's registry (bound in load(), reset
   // there too so a reloaded module starts a fresh ledger like the plain
   // counters it replaced). The registry outlives the module.
   obs::Counter* samples_total_ = nullptr;
+  obs::Histogram* sweep_duration_ = nullptr;
+  PowerMonitorConfig config_;
+  flux::Broker* broker_ = nullptr;
   obs::Counter* sensor_failures_total_ = nullptr;
   obs::Counter* subtree_merges_total_ = nullptr;
   obs::Counter* merge_bytes_total_ = nullptr;
-  obs::Histogram* sweep_duration_ = nullptr;
   obs::Histogram* subtree_batch_nodes_ = nullptr;
   obs::Gauge* tbon_level_ = nullptr;
   obs::Gauge* buffer_fill_ratio_ = nullptr;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <limits>
+#include <stdexcept>
 
 namespace fluxpower::twin {
 
@@ -46,6 +48,17 @@ TwinServer::~TwinServer() {
 }
 
 std::future<WhatIfResult> TwinServer::submit(WhatIfQuery query) {
+  // A NaN bound acts as no bound and a NaN time never fires, so either
+  // would answer a question nobody asked. A time in the past is clamped to
+  // the snapshot (see Perturbation).
+  for (const Perturbation& p : query.perturbations) {
+    if (!std::isfinite(p.value) || !std::isfinite(p.at_s) ||
+        !std::isfinite(p.down_s)) {
+      throw std::invalid_argument(
+          "TwinServer::submit: " + query.label +
+          ": perturbation value, time and down time must be finite");
+    }
+  }
   PendingQuery pending;
   pending.query = std::move(query);
   std::future<WhatIfResult> future = pending.promise.get_future();

@@ -68,7 +68,8 @@ class TwinServer {
 
   /// Enqueue a query; the future resolves when a worker finishes it. A
   /// query whose fork fails verification carries the SnapshotMismatch out
-  /// through the future.
+  /// through the future. Throws std::invalid_argument, enqueuing nothing,
+  /// when a perturbation's value, time or down time is not finite.
   std::future<WhatIfResult> submit(WhatIfQuery query);
 
   /// The unperturbed baseline endpoint (computed once, on first need).

@@ -344,5 +344,32 @@ TEST(ShardedSweepBatch, EveryShardCountRunsTheSameSweeps) {
   }
 }
 
+TEST(ShardedSweepBatch, EachCellKeepsOneSampleTable) {
+  const flux::Tbon tbon(ShardedSite::kNodes, ShardedSite::kFanout);
+  for (int islands : {1, 4}) {
+    ShardedSite site(islands);
+    site.engine.advance_until(10.0);
+    // The root is a cell of its own; every other cell's agents share one
+    // table, in join (rank) order.
+    const SampleTable* root = site.agent(0).store()->table();
+    ASSERT_NE(root, nullptr);
+    EXPECT_EQ(root->columns(), 1u);
+    std::vector<const SampleTable*> cell_table(ShardedSite::kNodes, nullptr);
+    std::vector<std::size_t> next_column(ShardedSite::kNodes, 0);
+    for (flux::Rank r = 1; r < ShardedSite::kNodes; ++r) {
+      const auto cell = static_cast<std::size_t>(tbon.root_child(r));
+      const ColumnarSampleStore& store = *site.agent(r).store();
+      if (cell_table[cell] == nullptr) cell_table[cell] = store.table();
+      EXPECT_EQ(store.table(), cell_table[cell]) << "rank " << r;
+      EXPECT_EQ(store.column(), next_column[cell]++) << "rank " << r;
+    }
+    for (std::size_t cell = 1; cell < cell_table.size(); ++cell) {
+      if (cell_table[cell] == nullptr) continue;
+      EXPECT_EQ(cell_table[cell]->columns(), next_column[cell]);
+      EXPECT_EQ(cell_table[cell]->free_columns(), 0u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fluxpower::monitor

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "twin/server.hpp"
@@ -205,6 +207,40 @@ TEST(ForkIsolation, BudgetDropTightensPeak) {
   EXPECT_GE(r.overshoot_w, 0.0);
   const double bound = serving_spec().scenario.manager.cluster_power_bound_w;
   EXPECT_LE(r.overshoot_w, std::max(0.0, r.peak_w - 0.5 * bound) + 1e-6);
+}
+
+// A non-finite value, time or down time is refused at submit: a NaN bound
+// acts as no bound and a NaN time never fires. A time before the snapshot
+// is clamped to it, as documented, and answered.
+TEST(ForkIsolation, ServerRejectsNonFinitePerturbations) {
+  auto base = make_base();
+  TwinServer server(base, 1);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  using K = Perturbation::Kind;
+  for (const Perturbation& p :
+       {Perturbation{.kind = K::BudgetSet, .at_s = 90.0, .value = nan},
+        Perturbation{.kind = K::BudgetSet, .at_s = 90.0, .value = inf},
+        Perturbation{.kind = K::BudgetScale, .at_s = nan, .value = 0.8},
+        Perturbation{.kind = K::BudgetScale, .at_s = -inf, .value = 0.8},
+        Perturbation{.kind = K::NodeKill, .at_s = 90.0, .rank = 1,
+                     .down_s = nan},
+        Perturbation{.kind = K::NodeKill, .at_s = 90.0, .rank = 1,
+                     .down_s = inf}}) {
+    WhatIfQuery q;
+    q.label = "non-finite";
+    q.perturbations.push_back(p);
+    EXPECT_THROW(server.submit(std::move(q)), std::invalid_argument);
+  }
+  EXPECT_EQ(server.queries_served(), 0u);
+  WhatIfQuery past;
+  past.label = "past";
+  past.perturbations.push_back(
+      {.kind = K::BudgetScale, .at_s = -5.0, .value = 0.8});
+  WhatIfResult clamped;
+  ASSERT_NO_THROW(clamped = server.submit(std::move(past)).get());
+  EXPECT_EQ(clamped.completed_jobs, server.baseline().completed_jobs);
+  EXPECT_EQ(server.queries_served(), 1u);
 }
 
 }  // namespace

@@ -16,6 +16,8 @@
 //   budget=F@T       scale the cluster bound by factor F at time T
 //   budget-w=W@T     set the cluster bound to W watts at time T
 //   kill=R@T[:D]     crash node rank R at time T (down D seconds, def. 60)
+// Values and times must be finite, T no earlier than --snapshot-at and D
+// non-negative.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -44,7 +46,8 @@ using namespace fluxpower;
                "what-if specs:\n"
                "  budget=F@T           scale cluster bound by F at time T\n"
                "  budget-w=W@T         set cluster bound to W watts at time T\n"
-               "  kill=R@T[:D]         crash rank R at T for D seconds (default 60)\n",
+               "  kill=R@T[:D]         crash rank R at T for D seconds (default 60)\n"
+               "  (F, W, T and D finite, T >= --snapshot-at, D >= 0)\n",
                argv0);
   std::exit(2);
 }
@@ -124,10 +127,18 @@ twin::WhatIfQuery parse_what_if(const std::string& spec, const char* argv0) {
     } else {
       p.down_s = 60.0;
     }
+    if (!(p.down_s >= 0.0) || !std::isfinite(p.down_s)) {
+      usage(argv0, "down time must be non-negative and finite in " + spec);
+    }
   } else {
     usage(argv0, "unknown what-if kind " + kind);
   }
+  // A NaN bound would act as no bound at all.
+  if (!std::isfinite(p.value)) {
+    usage(argv0, "value must be finite in " + spec);
+  }
   p.at_s = parse_number<double>("what-if time", when, argv0);
+  if (!std::isfinite(p.at_s)) usage(argv0, "time must be finite in " + spec);
   q.perturbations.push_back(p);
   return q;
 }
@@ -202,6 +213,13 @@ int main(int argc, char** argv) {
           (p.rank < 0 || p.rank >= nodes)) {
         usage(argv[0], q.label + ": rank outside [0, " +
                            std::to_string(nodes) + ")");
+      }
+      // The twin cannot rewrite the past it restored.
+      if (p.at_s < snapshot_at) {
+        char at[32];
+        std::snprintf(at, sizeof at, "%g", snapshot_at);
+        usage(argv[0],
+              q.label + ": time before the snapshot at " + at + " s");
       }
     }
   }
